@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-json typecheck parallel-check cost-check bench-gate bench-smoke bench-parallel chaos chaos-crash check
+.PHONY: test lint lint-json analysis-check bench-gate bench-smoke chaos check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -14,25 +14,14 @@ lint:
 lint-json:
 	$(PYTHON) -m repro.analysis.lint src/repro --format json
 
-# Schema-flow typecheck + purity certification of every shipped example
-# plan; exits 1 on any error-severity finding.
-typecheck:
-	$(PYTHON) -m repro.analysis.typecheck examples
-
-# Parallel-safety certification of every shipped example plan (exits 1
-# on any UNSAFE node), then the snapshot test pinning the expected
-# node→level certification map and its byte-for-byte determinism.
-parallel-check:
-	$(PYTHON) -m repro.analysis.parallel examples
-	$(PYTHON) -m pytest tests/analysis/test_parallel_snapshot.py -q -p no:cacheprovider
-
-# Cost & cardinality certification of every shipped example plan (exits
-# 1 on any error-severity CC finding — an over-budget or quadratic
-# plan), then the snapshot test pinning the expected plan→cost map and
-# its byte-for-byte determinism.
-cost-check:
-	$(PYTHON) -m repro.analysis.cost examples
-	$(PYTHON) -m pytest tests/analysis/test_cost_snapshot.py -q -p no:cacheprovider
+# The full preflight gate over every shipped example plan, one build and
+# one preflight per plan: structure, schema-flow types, purity,
+# parallel safety and cost (exits 1 on any error-severity finding or
+# UNSAFE node), then the snapshot tests pinning the node→level and
+# plan→cost certification maps and their byte-for-byte determinism.
+analysis-check:
+	$(PYTHON) -m repro.analysis check examples
+	$(PYTHON) -m pytest tests/analysis/test_parallel_snapshot.py tests/analysis/test_cost_snapshot.py -q -p no:cacheprovider
 
 # The perf ratchet: copy the committed BENCH_* baselines aside (so the
 # fresh run cannot overwrite what it is compared against), re-run the
@@ -46,13 +35,19 @@ cost-check:
 # the committed fixture pair.  --check-baselines fails the gate on any
 # committed baseline no bench_*.py can regenerate.  REP015 keeps every
 # benchmark on the shared telemetry helpers the ratchet and
-# calibration feed from.
+# calibration feed from.  bench_parallel.py is the parallel-executor
+# baseline: sequential vs parallel=2/4 on the E7a workload through
+# partitioned_resolve (speedup assertions are gated on the cores
+# actually available; the determinism assertions — identical clusters
+# and stable ids across backends — hold on any machine); its telemetry
+# is schema-checked too.
 bench-gate:
 	rm -rf benchmarks/.ratchet
 	mkdir -p benchmarks/.ratchet
 	cp benchmarks/results/BENCH_*.json benchmarks/.ratchet/
 	$(PYTHON) -m pytest benchmarks/bench_parallel.py benchmarks/bench_er_scale.py benchmarks/bench_e14_velocity.py -q -p no:cacheprovider
-	$(PYTHON) -m repro.analysis.cost --ratchet --baseline benchmarks/.ratchet --fresh benchmarks/results --tolerance 0.5 --check-baselines benchmarks
+	$(PYTHON) -m repro.obs.report benchmarks/results/BENCH_parallel_er.telemetry.json --validate-only
+	$(PYTHON) -m repro.analysis ratchet --baseline benchmarks/.ratchet --fresh benchmarks/results --tolerance 0.5 --check-baselines benchmarks
 	$(PYTHON) -m repro.analysis.lint benchmarks --select REP015
 
 # One small benchmark end to end, then schema-check the telemetry it
@@ -60,15 +55,6 @@ bench-gate:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e10_repair.py -q -p no:cacheprovider
 	$(PYTHON) -m repro.obs.report benchmarks/results/E10-repair.telemetry.json --validate-only
-
-# The parallel-executor baseline: sequential vs parallel=2/4 on the E7a
-# workload through partitioned_resolve, emitting BENCH_parallel_er.json
-# (speedup assertions are gated on the cores actually available; the
-# determinism assertions — identical clusters and stable ids across
-# backends — hold on any machine).
-bench-parallel:
-	$(PYTHON) -m pytest benchmarks/bench_parallel.py -q -p no:cacheprovider
-	$(PYTHON) -m repro.obs.report benchmarks/results/BENCH_parallel_er.telemetry.json --validate-only
 
 # The chaos harness end to end: the resilience benchmark (seeded fault
 # injection through a full Wrangler.run), its telemetry schema-checked,
@@ -79,13 +65,4 @@ chaos:
 	$(PYTHON) -m repro.obs.report benchmarks/results/E11-resilience.telemetry.json --validate-only
 	$(PYTHON) -m repro.analysis.lint src/repro tests benchmarks --select REP013
 
-# Crash chaos: the kill-at-every-checkpoint matrix (every commit point,
-# both sides of the journal write, byte-identical recovery with exact
-# ledger accounting), then REP016 over the source tree — every
-# durability-relevant write outside repro.io/repro.ingest must go
-# through atomic_write_bytes.
-chaos-crash:
-	$(PYTHON) -m pytest tests/ingest -q -p no:cacheprovider
-	$(PYTHON) -m repro.analysis.lint src/repro --select REP016
-
-check: test lint typecheck parallel-check cost-check bench-smoke bench-parallel bench-gate chaos chaos-crash
+check: test lint analysis-check bench-smoke bench-gate chaos

@@ -1,6 +1,6 @@
 """Static analysis for the repro framework: validate before you run.
 
-Four legs share one diagnostics engine:
+Five legs share one diagnostics engine:
 
 * :mod:`repro.analysis.validator` — static validation of wrangle plans,
   dataflow graphs, mappings, and contexts (rule ids ``PV0xx``), wired
@@ -8,16 +8,20 @@ Four legs share one diagnostics engine:
 * :mod:`repro.analysis.lint` — an AST-based framework linter (rule ids
   ``REP0xx``) run as ``python -m repro.analysis.lint src/repro``;
 * :mod:`repro.analysis.typecheck` — a schema-flow type checker and node
-  purity certifier (rule ids ``TC0xx``) run as ``python -m
-  repro.analysis.typecheck examples`` and folded into the wrangler's
-  pre-execution gate;
+  purity certifier (rule ids ``TC0xx``), plus ``run_preflight``, the
+  wrangler's combined pre-execution gate;
 * :mod:`repro.analysis.parallel` — a parallel-safety certifier (rule
   ids ``PX0xx``) classifying every dataflow node as row-local /
-  partition-local / global / unsafe, run as ``python -m
-  repro.analysis.parallel examples`` and folded into the same gate.
+  partition-local / global / unsafe, folded into the same gate;
+* :mod:`repro.analysis.cost` — a cost and cardinality certifier (rule
+  ids ``CC0xx``) folded into the same gate, plus its calibration and
+  benchmark-ratchet loops.
 
-All emit :class:`~repro.analysis.diagnostics.Diagnostic` values and
-render through :mod:`repro.analysis.report`.
+One driver, ``python -m repro.analysis check|calibrate|ratchet`` (see
+:mod:`repro.analysis.cli`), runs the gate over plan-building modules,
+calibrates the cost model and ratchets benchmark baselines.  All legs
+emit :class:`~repro.analysis.diagnostics.Diagnostic` values and render
+through :mod:`repro.analysis.report`.
 """
 
 from repro.analysis.diagnostics import (
@@ -88,9 +92,8 @@ _LAZY_PARALLEL_EXPORTS = (
 
 def __getattr__(name: str):
     # The lint, typecheck, and parallel engines are imported lazily so
-    # that ``python -m repro.analysis.lint`` / ``... .typecheck`` /
-    # ``... .parallel`` do not re-execute an already-imported module
-    # (runpy's double-import warning).
+    # that ``python -m repro.analysis.lint`` does not re-execute an
+    # already-imported module (runpy's double-import warning).
     if name in _LAZY_LINT_EXPORTS:
         from repro.analysis import lint
 

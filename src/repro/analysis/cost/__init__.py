@@ -13,12 +13,14 @@ findings flow through the shared
 :class:`~repro.analysis.diagnostics.Diagnostic` engine and into
 ``run_preflight``.
 
-Two feedback loops keep the model honest: ``--calibrate`` fits
-per-operator unit costs from committed telemetry snapshots and reports
-their prediction error, and ``--ratchet`` gates fresh ``BENCH_*.json``
-runs against committed baselines.
+Two feedback loops keep the model honest: ``python -m repro.analysis
+calibrate`` fits per-operator unit costs from committed telemetry
+snapshots and reports their prediction error, and ``python -m
+repro.analysis ratchet`` gates fresh ``BENCH_*.json`` runs against
+committed baselines.
 
-Run it standalone as ``python -m repro.analysis.cost examples``.
+``python -m repro.analysis check examples`` renders every example
+plan's per-node estimates next to the other gates' findings.
 """
 
 from repro.analysis.cost.calibration import (
@@ -43,13 +45,12 @@ from repro.analysis.cost.ratchet import (
     RatchetReport,
     run_ratchet,
 )
-from repro.analysis.cost.rules import COST_RULES, CostRule
+from repro.analysis.cost.rules import COST_RULES
 
 __all__ = [
     "CalibrationReport",
     "CardinalityEstimate",
     "CostCertifier",
-    "CostRule",
     "CostSignature",
     "COST_RULES",
     "PlanCostReport",

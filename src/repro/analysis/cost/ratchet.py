@@ -5,8 +5,8 @@ report": every committed ``benchmarks/results/BENCH_<name>.json``
 baseline is compared metric-by-metric against a freshly emitted run of
 the same benchmark, and any wall-clock or cost metric that regressed by
 more than the tolerance fails the gate (exit non-zero from
-``python -m repro.analysis.cost --ratchet``, wired into ``make
-bench-gate`` / ``make check`` / CI).
+``python -m repro.analysis ratchet``, wired into ``make bench-gate`` /
+``make check`` / CI).
 
 Only *lower-is-better* metrics are ratcheted: the numeric leaves under a
 baseline's ``timings_seconds`` and ``costs`` objects plus any top-level

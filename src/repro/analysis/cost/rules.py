@@ -20,31 +20,16 @@ assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from repro.analysis.diagnostics import Severity
+from repro.analysis.diagnostics import RuleRecord, Severity, rule_catalogue
 
-__all__ = ["CostRule", "COST_RULES"]
-
-
-@dataclass(frozen=True)
-class CostRule:
-    """One registered cost/cardinality invariant."""
-
-    rule_id: str
-    name: str
-    severity: Severity
-    description: str
-
-
-def _catalogue(*rules: CostRule) -> Mapping[str, CostRule]:
-    return {r.rule_id: r for r in rules}
+__all__ = ["COST_RULES"]
 
 
 #: Rule catalogue for the cost certifier (mirrored in docs/ANALYSIS.md).
-COST_RULES: Mapping[str, CostRule] = _catalogue(
-    CostRule(
+COST_RULES: Mapping[str, RuleRecord] = rule_catalogue(
+    RuleRecord(
         "CC001",
         "unknown-cardinality",
         Severity.INFO,
@@ -53,7 +38,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "default cardinality — the certificate is still issued, but its "
         "confidence is degraded and every derived bound inherits it.",
     ),
-    CostRule(
+    RuleRecord(
         "CC002",
         "quadratic-resolution",
         Severity.ERROR,
@@ -65,7 +50,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "generation).  Token, sorted-neighbourhood, or MinHash-LSH "
         "blocking caps the candidate set to ~linear in rows.",
     ),
-    CostRule(
+    RuleRecord(
         "CC003",
         "degenerate-blocking",
         Severity.WARNING,
@@ -78,7 +63,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "the blocking.dropped_* telemetry counters on oversized "
         "buckets.)",
     ),
-    CostRule(
+    RuleRecord(
         "CC004",
         "cross-source-join",
         Severity.WARNING,
@@ -87,7 +72,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "cost ~k^2 single-source resolves — partition per source (or by "
         "a blocking key) before resolving.",
     ),
-    CostRule(
+    RuleRecord(
         "CC005",
         "plan-over-budget",
         Severity.ERROR,
@@ -96,7 +81,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "declared via Wrangler.budget(): admission control refuses the "
         "plan before any source is fully accessed.",
     ),
-    CostRule(
+    RuleRecord(
         "CC006",
         "unbounded-budget",
         Severity.INFO,
@@ -104,7 +89,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "declared plan budget (Wrangler.budget()) nor a finite user-"
         "context budget — so admission control cannot gate this tenant.",
     ),
-    CostRule(
+    RuleRecord(
         "CC007",
         "probe-dominates-budget",
         Severity.WARNING,
@@ -114,7 +99,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "sources instead of acquiring them — trim the registry or raise "
         "the budget.",
     ),
-    CostRule(
+    RuleRecord(
         "CC008",
         "superlinear-repair",
         Severity.WARNING,
@@ -123,7 +108,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "candidate dependencies) dominates the repair stage — mine "
         "constraints offline or cap the discovery scope.",
     ),
-    CostRule(
+    RuleRecord(
         "CC009",
         "unestimable-node",
         Severity.WARNING,
@@ -131,7 +116,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "estimate can propagate through it: everything downstream of the "
         "node inherits an assumed cardinality.",
     ),
-    CostRule(
+    RuleRecord(
         "CC010",
         "calibration-drift",
         Severity.WARNING,

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Severity",
     "Location",
     "Diagnostic",
+    "RuleRecord",
+    "rule_catalogue",
     "count_by_severity",
     "dedupe_diagnostics",
     "has_errors",
@@ -108,6 +110,29 @@ class Diagnostic:
             "message": self.message,
             "fix_hint": self.fix_hint,
         }
+
+
+@dataclass(frozen=True)
+class RuleRecord:
+    """One registered plan-analysis invariant (a ``TC``, ``PX`` or ``CC``
+    rule); the checks themselves live in the analysers that emit it."""
+
+    rule_id: str
+    name: str
+    severity: Severity
+    description: str
+
+    def render(self) -> str:
+        """The one-line ``--list-rules`` row."""
+        return (
+            f"{self.rule_id}  {self.name:<32} "
+            f"{self.severity.value:<8} {self.description}"
+        )
+
+
+def rule_catalogue(*rules: RuleRecord) -> Mapping[str, RuleRecord]:
+    """An id-keyed catalogue of ``rules``."""
+    return {r.rule_id: r for r in rules}
 
 
 def sort_diagnostics(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:

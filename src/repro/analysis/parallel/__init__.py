@@ -8,7 +8,8 @@ closure inspection, without executing anything.  Rule ids are ``PX0xx``;
 findings flow through the shared :class:`~repro.analysis.diagnostics.
 Diagnostic` engine and into ``run_preflight``.
 
-Run it standalone as ``python -m repro.analysis.parallel examples``.
+``python -m repro.analysis check examples`` renders every example
+plan's node→level table next to the other gates' findings.
 """
 
 from repro.analysis.parallel.certifier import (
@@ -21,13 +22,12 @@ from repro.analysis.parallel.certifier import (
     ensure_certified,
 )
 from repro.analysis.parallel.gate import parallel_diagnostics
-from repro.analysis.parallel.rules import PARALLEL_RULES, ParallelRule
+from repro.analysis.parallel.rules import PARALLEL_RULES
 
 __all__ = [
     "ParallelAnalyser",
     "ParallelCertificate",
     "ParallelFinding",
-    "ParallelRule",
     "ParallelSafety",
     "PARALLEL_RULES",
     "certify_dataflow_parallel",

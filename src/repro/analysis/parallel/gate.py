@@ -45,7 +45,8 @@ def parallel_diagnostics(
 
     Only findings at ``min_severity`` or worse are folded (the default
     keeps advisory INFO notes — "this is partition-local, not row-local"
-    — out of the preflight report; the CLI shows everything).
+    — out of the preflight report; ``python -m repro.analysis check``
+    shows everything).
     """
     findings: list[Diagnostic] = []
     for name in sorted(certificates):

@@ -19,31 +19,16 @@ stays sound, per-row does not).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from repro.analysis.diagnostics import Severity
+from repro.analysis.diagnostics import RuleRecord, Severity, rule_catalogue
 
-__all__ = ["ParallelRule", "PARALLEL_RULES"]
-
-
-@dataclass(frozen=True)
-class ParallelRule:
-    """One registered parallel-safety invariant."""
-
-    rule_id: str
-    name: str
-    severity: Severity
-    description: str
-
-
-def _catalogue(*rules: ParallelRule) -> Mapping[str, ParallelRule]:
-    return {r.rule_id: r for r in rules}
+__all__ = ["PARALLEL_RULES"]
 
 
 #: Rule catalogue for the parallel certifier (mirrored in docs/ANALYSIS.md).
-PARALLEL_RULES: Mapping[str, ParallelRule] = _catalogue(
-    ParallelRule(
+PARALLEL_RULES: Mapping[str, RuleRecord] = rule_catalogue(
+    RuleRecord(
         "PX001",
         "captured-mutable-mutation",
         Severity.ERROR,
@@ -52,7 +37,7 @@ PARALLEL_RULES: Mapping[str, ParallelRule] = _catalogue(
         "process pool each worker mutates a private copy whose updates "
         "are silently lost.",
     ),
-    ParallelRule(
+    RuleRecord(
         "PX002",
         "module-global-write",
         Severity.ERROR,
@@ -61,7 +46,7 @@ PARALLEL_RULES: Mapping[str, ParallelRule] = _catalogue(
         "module-level container): a write-write or read-write race under "
         "any fan-out, and divergent per-process copies under a pool.",
     ),
-    ParallelRule(
+    RuleRecord(
         "PX003",
         "module-global-mutable-read",
         Severity.WARNING,
@@ -70,7 +55,7 @@ PARALLEL_RULES: Mapping[str, ParallelRule] = _catalogue(
         "pinned GLOBAL — the scheduler must not assume per-partition "
         "copies see a consistent value.",
     ),
-    ParallelRule(
+    RuleRecord(
         "PX004",
         "cross-row-accumulator",
         Severity.INFO,
@@ -79,7 +64,7 @@ PARALLEL_RULES: Mapping[str, ParallelRule] = _catalogue(
         "splitting the rows of one invocation across workers would split "
         "the accumulator — fan out at partition granularity, not row.",
     ),
-    ParallelRule(
+    RuleRecord(
         "PX005",
         "order-sensitive-iteration",
         Severity.INFO,
@@ -88,7 +73,7 @@ PARALLEL_RULES: Mapping[str, ParallelRule] = _catalogue(
         "`itertools.accumulate`): row order inside a partition must be "
         "preserved, so per-row fan-out is unsound.",
     ),
-    ParallelRule(
+    RuleRecord(
         "PX006",
         "shared-rng",
         Severity.ERROR,
@@ -97,7 +82,7 @@ PARALLEL_RULES: Mapping[str, ParallelRule] = _catalogue(
         "streams nondeterministically — thread an explicitly seeded "
         "`random.Random` instance through instead.",
     ),
-    ParallelRule(
+    RuleRecord(
         "PX007",
         "unpicklable-capture",
         Severity.ERROR,
@@ -106,7 +91,7 @@ PARALLEL_RULES: Mapping[str, ParallelRule] = _catalogue(
         "cannot be located at all, so no certificate can be issued and "
         "fan-out must be refused.",
     ),
-    ParallelRule(
+    RuleRecord(
         "PX008",
         "non-associative-reduce",
         Severity.WARNING,

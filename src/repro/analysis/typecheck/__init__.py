@@ -12,11 +12,8 @@ the framework linter:
   dataflow node callables as pure (``TC010``), so the engine can refuse
   to cache or replay what it cannot certify;
 * :mod:`~repro.analysis.typecheck.gate` — :func:`run_preflight`, the
-  combined structure + types + purity gate behind
-  ``Wrangler.run(validate=True)``;
-* :mod:`~repro.analysis.typecheck.cli` — ``python -m
-  repro.analysis.typecheck``, the lint CLI's exit-code contract over
-  plan-building modules.
+  combined structure + types + purity + parallel + cost gate behind
+  ``Wrangler.run(validate=True)`` and ``python -m repro.analysis check``.
 """
 
 from repro.analysis.typecheck.checker import (
@@ -24,6 +21,7 @@ from repro.analysis.typecheck.checker import (
     check_schema_flow,
 )
 from repro.analysis.typecheck.gate import (
+    PreflightReport,
     probe_artifacts,
     purity_diagnostics,
     run_preflight,
@@ -33,7 +31,7 @@ from repro.analysis.typecheck.purity import (
     PurityVerdict,
     certify_callable,
 )
-from repro.analysis.typecheck.rules import TYPECHECK_RULES, TypeRule
+from repro.analysis.typecheck.rules import TYPECHECK_RULES
 from repro.analysis.typecheck.signatures import (
     SIGNATURES,
     CheckContext,
@@ -41,6 +39,7 @@ from repro.analysis.typecheck.signatures import (
 )
 
 __all__ = [
+    "PreflightReport",
     "SchemaFlowChecker",
     "check_schema_flow",
     "probe_artifacts",
@@ -50,7 +49,6 @@ __all__ = [
     "PurityVerdict",
     "certify_callable",
     "TYPECHECK_RULES",
-    "TypeRule",
     "SIGNATURES",
     "CheckContext",
     "OperatorSignature",

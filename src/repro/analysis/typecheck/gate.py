@@ -5,9 +5,10 @@ which folds the plan validator's structural findings (``PV0xx``), the
 schema-flow checker's type findings (``TC001``–``TC009``), the purity
 certifier's node verdicts (``TC010``), the parallel-safety certifier's
 race findings (``PX0xx``), and the cost certifier's budget and
-cardinality findings (``CC0xx``) into one
-:class:`~repro.analysis.validator.ValidationReport` — so a plan is
-refused for a dangling dependency, an untypable mapping, an
+cardinality findings (``CC0xx``) into one :class:`PreflightReport` —
+a :class:`~repro.analysis.validator.ValidationReport` that also carries
+the verdicts, certificates and cost report behind the findings — so a
+plan is refused for a dangling dependency, an untypable mapping, an
 uncertifiable node, a racy node body, or an over-budget estimate
 through exactly the same machinery.  The combined report is
 deduplicated and stably ordered: five gates can flag one node, but each
@@ -16,7 +17,8 @@ exact finding appears once.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -25,14 +27,43 @@ from repro.analysis.diagnostics import (
     sort_diagnostics,
 )
 from repro.analysis.typecheck.checker import SchemaFlowChecker
-from repro.analysis.typecheck.purity import PurityAnalyser, PurityVerdict
+from repro.analysis.typecheck.purity import PurityVerdict
 from repro.analysis.typecheck.signatures import tc
 from repro.analysis.validator import PlanValidator, ValidationReport
 
-__all__ = ["run_preflight", "purity_diagnostics", "probe_artifacts"]
+if TYPE_CHECKING:
+    from repro.analysis.cost import PlanCostReport
+    from repro.analysis.parallel import ParallelCertificate
+
+__all__ = [
+    "PreflightReport",
+    "probe_artifacts",
+    "purity_diagnostics",
+    "run_preflight",
+]
 
 #: WorkingData key prefix under which the wrangler files probe artifacts.
 PROBE_PREFIX = "probe/"
+
+
+@dataclass(frozen=True)
+class PreflightReport(ValidationReport):
+    """The gate's combined findings plus the evidence behind them.
+
+    ``purity`` maps node name to its
+    :class:`~repro.analysis.typecheck.purity.PurityVerdict`, ``parallel``
+    node name to its
+    :class:`~repro.analysis.parallel.ParallelCertificate` (both empty
+    when no dataflow was gated), and ``cost`` is the
+    :class:`~repro.analysis.cost.PlanCostReport` (``None`` without a plan
+    and a registry).  ``diagnostics`` keeps only warning-or-worse ``PX``
+    and ``CC`` findings; the full advisory stream is derivable from the
+    certificates and the cost report.
+    """
+
+    purity: Mapping[str, PurityVerdict] = field(default_factory=dict)
+    parallel: Mapping[str, ParallelCertificate] = field(default_factory=dict)
+    cost: PlanCostReport | None = None
 
 
 def probe_artifacts(
@@ -101,23 +132,21 @@ def run_preflight(
     master_key: str | None = None,
     date_attribute: str | None = None,
     comparators: Sequence[Any] = (),
-    certify: bool = True,
-    analyser: PurityAnalyser | None = None,
-    parallel_analyser: Any = None,
     cost_budget: float | None = None,
     discover_constraints: bool = False,
-) -> ValidationReport:
+) -> PreflightReport:
     """Run the full pre-execution gate and fold findings into one report.
 
     Probe artifacts come from ``source_schemas``/``mappings`` when given
     explicitly, falling back to the ``probe/``-prefixed entries of
-    ``working``.  ``certify=False`` skips purity and parallel-safety
-    certification (the other two gates still run).  When both a plan and
-    a registry are supplied, the cost certifier also runs: per-node
-    estimates are propagated through the dataflow (annotating it for
-    telemetry) and ``CC`` findings at warning severity or worse — an
-    estimate over the ``cost_budget`` declared via ``Wrangler.budget()``
-    is an error — join the report.
+    ``working``.  When a dataflow is supplied its nodes are purity- and
+    parallel-certified.  When both a plan and a registry are supplied,
+    the cost certifier also runs: per-node estimates are propagated
+    through the dataflow (annotating it for telemetry) and ``CC``
+    findings at warning severity or worse — an estimate over the
+    ``cost_budget`` declared via ``Wrangler.budget()`` is an error —
+    join the report.  The verdicts, certificates and cost report behind
+    the findings ride along on the returned :class:`PreflightReport`.
     """
     filed_schemas, filed_mappings = probe_artifacts(working)
     if source_schemas is None:
@@ -149,25 +178,19 @@ def run_preflight(
         )
     )
 
-    if certify and dataflow is not None and hasattr(dataflow, "certify"):
-        verdicts = dataflow.certify(analyser=analyser or PurityAnalyser())
+    verdicts: Mapping[str, PurityVerdict] = {}
+    certificates: Mapping[str, ParallelCertificate] = {}
+    if dataflow is not None and hasattr(dataflow, "certify"):
+        verdicts = dataflow.certify()
         findings.extend(purity_diagnostics(verdicts))
 
-    if (
-        certify
-        and dataflow is not None
-        and hasattr(dataflow, "certify_parallel")
-    ):
-        from repro.analysis.parallel import (
-            ParallelAnalyser,
-            parallel_diagnostics,
-        )
+    if dataflow is not None and hasattr(dataflow, "certify_parallel"):
+        from repro.analysis.parallel import parallel_diagnostics
 
-        certificates = dataflow.certify_parallel(
-            analyser=parallel_analyser or ParallelAnalyser()
-        )
+        certificates = dataflow.certify_parallel()
         findings.extend(parallel_diagnostics(certificates))
 
+    cost_report = None
     if plan is not None and registry is not None:
         from repro.analysis.cost import check_plan_cost
 
@@ -183,6 +206,9 @@ def run_preflight(
             cost_report.diagnostics(min_severity=Severity.WARNING)
         )
 
-    return ValidationReport(
-        tuple(sort_diagnostics(dedupe_diagnostics(findings)))
+    return PreflightReport(
+        tuple(sort_diagnostics(dedupe_diagnostics(findings))),
+        purity=verdicts,
+        parallel=certificates,
+        cost=cost_report,
     )

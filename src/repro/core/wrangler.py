@@ -763,10 +763,12 @@ class Wrangler:
         """The full static gate's report, without executing the pipeline.
 
         Probes the sources (the cheap sample pass) and composes a plan,
-        then runs structure validation, schema-flow type checking, and
-        purity certification over it.  Returns the
-        :class:`~repro.analysis.validator.ValidationReport` instead of
-        raising, so callers (e.g. ``python -m repro.analysis.typecheck``)
+        then runs the whole gate over it: structure validation,
+        schema-flow type checking, purity and parallel-safety
+        certification, and cost certification.  Returns the
+        :class:`~repro.analysis.typecheck.PreflightReport` (findings plus
+        the verdicts, certificates and cost report behind them) instead
+        of raising, so callers (e.g. ``python -m repro.analysis check``)
         can render every finding.
         """
         flow = self.flow

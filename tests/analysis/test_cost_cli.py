@@ -1,123 +1,75 @@
-"""The cost CLI: discovery, certify/calibrate/ratchet modes, formats,
-and the shared analysis exit-code contract."""
+"""``python -m repro.analysis``: cost certification under ``check``, the
+``calibrate`` and ``ratchet`` subcommands, formats, and the shared
+analysis exit-code contract."""
 
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.cost.cli import check_paths, main
+from repro.analysis.cli import check_paths, main
 
 FIXTURES = Path(__file__).with_name("ratchet_fixtures")
 BASELINE = FIXTURES / "baseline"
 REGRESSED = FIXTURES / "regressed"
 
-PLAN = """\
-from repro import DataContext, UserContext, Wrangler
-from repro.model.annotations import Dimension
-from repro.model.schema import Attribute, DataType, Schema
-from repro.sources.memory import MemorySource
-
-SCHEMA = Schema((
-    Attribute("product", DataType.STRING, required=True),
-    Attribute("price", DataType.CURRENCY),
-))
-
-ROWS = [
-    {"product": "anvil", "price": "$12.00"},
-    {"product": "rope", "price": "$3.50"},
-]
-
-
-def build_wrangler():
-    user = UserContext("u", SCHEMA, weights={Dimension.ACCURACY: 1.0})
-    wrangler = Wrangler(user, DataContext())
-    wrangler.add_source(MemorySource("shop", ROWS, cost_per_access=2.0))
-    return wrangler
-"""
-
-OVER_BUDGET_PLAN = PLAN.replace(
-    "    return wrangler\n",
-    "    return wrangler.budget(0.1)\n",
-)
-
-
-@pytest.fixture()
-def plan_module(tmp_path):
-    target = tmp_path / "affordable_plan.py"
-    target.write_text(PLAN)
-    return target
-
-
-@pytest.fixture()
-def over_budget_module(tmp_path):
-    target = tmp_path / "over_budget_plan.py"
-    target.write_text(OVER_BUDGET_PLAN)
-    return target
-
 
 class TestCertifyMode:
-    def test_affordable_plan_exits_zero(self, plan_module, capsys):
-        assert main([str(plan_module)]) == 0
+    def test_affordable_plan_exits_zero(self, clean_plan, capsys):
+        assert main(["check", str(clean_plan)]) == 0
         out = capsys.readouterr().out
         assert "cost certification:" in out
         assert "within budget" in out
 
-    def test_over_budget_plan_exits_one(self, over_budget_module, capsys):
-        assert main([str(over_budget_module)]) == 1
+    def test_over_budget_plan_exits_one(self, over_budget_plan, capsys):
+        assert main(["check", str(over_budget_plan)]) == 1
         out = capsys.readouterr().out
         assert "CC005" in out
         assert "OVER BUDGET" in out
 
     def test_findings_are_reanchored_to_the_plan_module(
-        self, over_budget_module, capsys
+        self, over_budget_plan, capsys
     ):
-        main([str(over_budget_module)])
+        main(["check", str(over_budget_plan)])
         assert "over_budget_plan.py::" in capsys.readouterr().out
 
     def test_unknown_path_exits_two(self, capsys):
-        assert main(["does/not/exist.py"]) == 2
+        assert main(["check", "does/not/exist.py"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_explicit_file_without_entry_exits_two(self, tmp_path, capsys):
+        # A module-level name that is not callable is no entry point.
         target = tmp_path / "not_a_plan.py"
-        target.write_text("x = 1\n")
-        assert main([str(target)]) == 2
+        target.write_text("build_wrangler = 1\n")
+        assert main(["check", str(target)]) == 2
         assert "build_wrangler" in capsys.readouterr().err
 
-    def test_directory_skips_non_plan_modules(self, tmp_path, capsys):
-        (tmp_path / "helper.py").write_text("x = 1\n")
-        (tmp_path / "plan.py").write_text(PLAN)
-        assert main([str(tmp_path)]) == 0
+    def test_directory_skips_non_plan_modules(self, over_budget_plan,
+                                              capsys):
+        (over_budget_plan.parent / "helper.py").write_text("x = 1\n")
+        assert main(["check", str(over_budget_plan.parent)]) == 1
         err = capsys.readouterr().err
         assert "helper.py" in err and "skipped" in err
 
-    def test_json_report_shape(self, over_budget_module, capsys):
-        assert main([str(over_budget_module), "--format", "json"]) == 1
+    def test_json_report_shape(self, over_budget_plan, capsys):
+        assert main(["check", str(over_budget_plan), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         (plan,) = payload["plans"]
-        assert plan["over_budget"] is True
-        assert plan["budget"] == 0.1
-        assert "acquire:shop" in plan["nodes"]
+        assert plan["cost"]["over_budget"] is True
+        assert plan["cost"]["budget"] == 0.1
+        assert "acquire:shop" in plan["cost"]["nodes"]
         assert payload["summary"]["over_budget"] == [plan["path"]]
         assert any(
             d["rule"] == "CC005" for d in payload["diagnostics"]
         )
 
-    def test_custom_entry_point(self, tmp_path):
-        target = tmp_path / "named.py"
-        target.write_text(PLAN.replace("build_wrangler", "make_it"))
-        assert main([str(target), "--entry", "make_it"]) == 0
-
-    def test_check_paths_counts_and_reports(self, plan_module):
-        result = check_paths([str(plan_module)])
+    def test_check_paths_counts_and_reports(self, clean_plan):
+        result = check_paths([str(clean_plan)])
         assert result.checked_plans == 1
         ((path, report),) = result.reports
-        assert path == str(plan_module)
-        assert report.total_access_cost > 0.0
+        assert path == str(clean_plan)
+        assert report.cost.total_access_cost > 0.0
 
     def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
+        assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (f"CC{n:03d}" for n in range(1, 11)):
             assert rule_id in out
@@ -126,7 +78,7 @@ class TestCertifyMode:
 class TestRatchetMode:
     def test_passing_ratchet_exits_zero(self, capsys):
         code = main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(BASELINE)]
         )
         assert code == 0
@@ -134,7 +86,7 @@ class TestRatchetMode:
 
     def test_regression_exits_one(self, capsys):
         code = main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(REGRESSED)]
         )
         assert code == 1
@@ -142,20 +94,20 @@ class TestRatchetMode:
 
     def test_tolerance_flag_loosens_the_gate(self):
         assert main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(REGRESSED), "--tolerance", "0.25"]
         ) == 0
 
     def test_missing_baseline_dir_exits_two(self, tmp_path, capsys):
         assert main(
-            ["--ratchet", "--baseline", str(tmp_path / "nope"),
+            ["ratchet", "--baseline", str(tmp_path / "nope"),
              "--fresh", str(tmp_path)]
         ) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_json_format(self, capsys):
         main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(REGRESSED), "--format", "json"]
         )
         payload = json.loads(capsys.readouterr().out)
@@ -170,7 +122,7 @@ class TestRatchetMode:
             'emit("BENCH_synthetic", "...")\n', encoding="utf-8"
         )
         assert main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(BASELINE),
              "--check-baselines", str(benches)]
         ) == 0
@@ -179,7 +131,7 @@ class TestRatchetMode:
         benches = tmp_path / "benchmarks"
         benches.mkdir()  # no bench_*.py mentions BENCH_synthetic
         code = main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(BASELINE),
              "--check-baselines", str(benches)]
         )
@@ -190,7 +142,7 @@ class TestRatchetMode:
         benches = tmp_path / "benchmarks"
         benches.mkdir()
         main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(BASELINE),
              "--check-baselines", str(benches),
              "--format", "json"]
@@ -203,7 +155,7 @@ class TestRatchetMode:
         self, tmp_path, capsys
     ):
         assert main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(BASELINE),
              "--check-baselines", str(tmp_path / "nowhere")]
         ) == 2
@@ -220,7 +172,7 @@ class TestCalibrateMode:
                 "fuse": {"stage": "fusion", "runs": 4, "seconds": 0.4},
             }},
         }))
-        assert main(["--calibrate", str(snapshot)]) == 0
+        assert main(["calibrate", str(snapshot)]) == 0
         out = capsys.readouterr().out
         assert "resolution" in out
         assert "s/run" in out
@@ -234,11 +186,11 @@ class TestCalibrateMode:
         cwd = os.getcwd()
         os.chdir(repo)
         try:
-            assert main(["--calibrate"]) == 0
+            assert main(["calibrate"]) == 0
         finally:
             os.chdir(cwd)
         assert "node observation(s)" in capsys.readouterr().out
 
     def test_unknown_snapshot_path_exits_two(self, capsys):
-        assert main(["--calibrate", "no/such/file.telemetry.json"]) == 2
+        assert main(["calibrate", "no/such/file.telemetry.json"]) == 2
         assert "error:" in capsys.readouterr().err

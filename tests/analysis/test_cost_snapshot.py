@@ -1,82 +1,48 @@
 """Expected plan→cost snapshot over the shipped example plans.
 
-``make cost-check`` and CI run this: every bundled plan must certify
+``make analysis-check`` and CI run this: every bundled plan must certify
 with exactly the committed per-node estimates (no error-severity CC
-finding anywhere), and the certifier must be deterministic — two fresh
-runs over the unchanged tree produce byte-identical reports.
-Regenerate the snapshot after a deliberate cost-model change with::
-
-    PYTHONPATH=src python - <<'PY'
-    import json
-    from repro.analysis.cost.cli import check_paths
-    result = check_paths(["examples"])
-    snapshot = {
-        path: report.to_dict() for path, report in result.reports
-    }
-    with open("tests/analysis/cost_certification.json", "w") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\\n")
-    PY
+finding anywhere), and the driver must be deterministic.  It reads the
+same ``check`` of ``examples/`` as ``test_parallel_snapshot.py``, whose
+docstring holds the recipe that regenerates both snapshots.
 """
 
 import json
-import os
 from pathlib import Path
 
-import pytest
+from repro.analysis.cli import _render_text
 
-from repro.analysis.cost.cli import _render_json, check_paths
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 SNAPSHOT = Path(__file__).with_name("cost_certification.json")
 
 
-@pytest.fixture(scope="module")
-def examples_result():
-    cwd = os.getcwd()
-    os.chdir(REPO_ROOT)
-    try:
-        yield check_paths(["examples"])
-    finally:
-        os.chdir(cwd)
-
-
 class TestExamplesCostCertification:
-    def test_matches_committed_snapshot(self, examples_result):
+    def test_matches_committed_snapshot(self, examples_check):
         expected = json.loads(SNAPSHOT.read_text())
         actual = {
-            path: report.to_dict()
-            for path, report in examples_result.reports
+            path: report.cost.to_dict()
+            for path, report in examples_check.reports
         }
         assert actual == expected
 
-    def test_no_example_plan_is_refused(self, examples_result):
-        assert examples_result.ok
-        assert not any(
-            report.over_budget
-            for _, report in examples_result.reports
-        )
+    def test_no_example_plan_is_refused(self, examples_check):
+        assert examples_check.ok
+        assert examples_check.over_budget == ()
 
-    def test_all_five_plans_certified(self, examples_result):
-        assert examples_result.checked_plans == 5
+    def test_all_five_plans_certified(self, examples_check):
+        assert examples_check.checked_plans == 5
         assert all(
-            report.estimates
-            for _, report in examples_result.reports
+            report.cost.estimates
+            for _, report in examples_check.reports
         )
 
-    def test_estimates_are_grounded_not_assumed(self, examples_result):
-        # The CLI probes before certifying, so bundled examples certify
-        # from real memoised row counts, not DEFAULT_ROWS guesses.
-        for _, report in examples_result.reports:
-            translate = report.estimates.get("translate")
+    def test_estimates_are_grounded_not_assumed(self, examples_check):
+        # The preflight probes before certifying, so bundled examples
+        # certify from real memoised row counts, not DEFAULT_ROWS guesses.
+        for _, report in examples_check.reports:
+            translate = report.cost.estimates.get("translate")
             if translate is not None:
                 assert translate.confidence == "exact"
 
-    def test_output_is_byte_identical_across_runs(self, examples_result):
-        cwd = os.getcwd()
-        os.chdir(REPO_ROOT)
-        try:
-            again = check_paths(["examples"])
-        finally:
-            os.chdir(cwd)
-        assert _render_json(examples_result) == _render_json(again)
+    def test_output_is_byte_identical_across_runs(self, examples_check,
+                                                  examples_recheck):
+        assert _render_text(examples_check) == _render_text(examples_recheck)

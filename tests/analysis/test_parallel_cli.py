@@ -1,105 +1,50 @@
-"""The parallel-safety CLI: discovery, formats, determinism, exit codes."""
+"""``python -m repro.analysis check``: parallel-safety certification,
+the node→level table, determinism, and the exit-code contract."""
 
 import json
 
-import pytest
-
-from repro.analysis.parallel.cli import check_paths, main
-from repro.errors import AnalysisError
-
-CLEAN_PLAN = """\
-from repro import DataContext, UserContext, Wrangler
-from repro.model.annotations import Dimension
-from repro.model.schema import Attribute, DataType, Schema
-from repro.sources.memory import MemorySource
-
-SCHEMA = Schema((
-    Attribute("product", DataType.STRING, required=True),
-    Attribute("price", DataType.CURRENCY),
-))
-
-
-def build_wrangler():
-    user = UserContext("u", SCHEMA, weights={Dimension.ACCURACY: 1.0})
-    wrangler = Wrangler(user, DataContext())
-    wrangler.add_source(MemorySource("shop", [
-        {"product": "anvil", "price": "$12.00"},
-        {"product": "rope", "price": "$3.50"},
-    ]))
-    return wrangler
-"""
-
-# A plan whose dataflow carries a deliberately racy node: the lambda
-# hoards rows into a captured list (PX001), certifying UNSAFE.
-UNSAFE_PLAN = """\
-from repro.core.dataflow import Dataflow
-
-
-class RacyPipeline:
-    @property
-    def flow(self):
-        flow = Dataflow()
-        hoard = []
-        flow.add("hoards", lambda inputs: hoard.append(inputs))
-        return flow
-
-
-def build_wrangler():
-    return RacyPipeline()
-"""
-
-
-@pytest.fixture()
-def clean_plan(tmp_path):
-    target = tmp_path / "clean_plan.py"
-    target.write_text(CLEAN_PLAN)
-    return target
-
-
-@pytest.fixture()
-def unsafe_plan(tmp_path):
-    target = tmp_path / "unsafe_plan.py"
-    target.write_text(UNSAFE_PLAN)
-    return target
+from repro.analysis.cli import check_paths, main
 
 
 class TestExitCodes:
     def test_clean_plan_exits_zero(self, clean_plan, capsys):
-        assert main([str(clean_plan)]) == 0
+        assert main(["check", str(clean_plan)]) == 0
         out = capsys.readouterr().out
         assert "certification:" in out
         assert "row_local" in out
 
     def test_unsafe_node_exits_one(self, unsafe_plan, capsys):
-        assert main([str(unsafe_plan)]) == 1
+        assert main(["check", str(unsafe_plan)]) == 1
         out = capsys.readouterr().out
         assert "PX001" in out
         assert "UNSAFE:" in out and "hoards" in out
 
-    def test_unknown_path_exits_two(self, capsys):
-        assert main(["/no/such/path-at-all"]) == 2
+    def test_unknown_path_exits_two(self, clean_plan, capsys):
+        # One missing path fails the run even beside a valid plan.
+        assert main(["check", str(clean_plan), "/no/such/path-at-all"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_explicit_file_without_entry_exits_two(self, tmp_path, capsys):
-        target = tmp_path / "not_a_plan.py"
+    def test_explicit_file_without_entry_exits_two(self, clean_plan, capsys):
+        # Named explicitly, a helper is misuse even inside a plan directory.
+        target = clean_plan.parent / "not_a_plan.py"
         target.write_text("VALUE = 1\n")
-        assert main([str(target)]) == 2
+        assert main(["check", str(clean_plan.parent), str(target)]) == 2
         assert "build_wrangler" in capsys.readouterr().err
 
     def test_unimportable_module_exits_two(self, tmp_path, capsys):
         target = tmp_path / "exploding.py"
-        target.write_text("raise RuntimeError('boom')\n")
-        assert main([str(target)]) == 2
-        assert "boom" in capsys.readouterr().err
+        target.write_text("def build_wrangler(:\n")
+        assert main(["check", str(target)]) == 2
+        assert "cannot import" in capsys.readouterr().err
 
 
 class TestDiscovery:
-    def test_directory_skips_non_plan_modules(self, tmp_path, capsys):
-        (tmp_path / "clean_plan.py").write_text(CLEAN_PLAN)
-        (tmp_path / "helper.py").write_text("VALUE = 1\n")
-        assert main([str(tmp_path)]) == 0
+    def test_directory_skips_non_plan_modules(self, unsafe_plan, capsys):
+        (unsafe_plan.parent / "helper.py").write_text("VALUE = 1\n")
+        assert main(["check", str(unsafe_plan.parent)]) == 1
         captured = capsys.readouterr()
         assert "helper.py" in captured.err and "skipped" in captured.err
+        assert "UNSAFE:" in captured.out
 
     def test_check_paths_counts_nodes(self, clean_plan):
         result = check_paths([str(clean_plan)])
@@ -113,41 +58,40 @@ class TestDiscovery:
         assert result.unsafe_nodes == (f"{unsafe_plan}::hoards",)
         assert not result.ok
 
-    def test_custom_entry_point(self, tmp_path):
-        target = tmp_path / "named.py"
-        target.write_text(CLEAN_PLAN.replace("build_wrangler", "make_it"))
-        result = check_paths([str(target)], entry="make_it")
-        assert result.checked_plans == 1
-        with pytest.raises(AnalysisError):
-            check_paths([str(target)])  # default entry absent
-
 
 class TestFormatsAndDeterminism:
     def test_json_report_shape(self, unsafe_plan, capsys):
-        assert main([str(unsafe_plan), "--format", "json"]) == 1
+        assert main(["check", str(unsafe_plan), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["nodes"] == 1
+        (plan,) = payload["plans"]
+        assert payload["summary"]["nodes"] == len(plan["parallel"])
         assert payload["summary"]["unsafe_nodes"] == [
             f"{unsafe_plan}::hoards"
         ]
-        node = payload["plans"][0]["nodes"]["hoards"]
+        node = plan["parallel"]["hoards"]
         assert node["level"] == "unsafe"
         assert node["findings"][0]["rule"] == "PX001"
 
     def test_findings_reanchored_to_plan_module(self, unsafe_plan, capsys):
-        main([str(unsafe_plan)])
+        main(["check", str(unsafe_plan)])
         assert "unsafe_plan.py::" in capsys.readouterr().out
 
     def test_output_is_byte_identical_across_runs(self, clean_plan,
                                                   unsafe_plan, capsys):
         runs = []
         for _round in range(2):
-            main([str(clean_plan), str(unsafe_plan), "--format", "json"])
+            main(["check", str(clean_plan), str(unsafe_plan),
+                  "--format", "json"])
             runs.append(capsys.readouterr().out)
         assert runs[0] == runs[1]
 
     def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in (f"PX{n:03d}" for n in range(1, 9)):
-            assert rule_id in out
+        # One catalogue: every TC, PX and CC row, in rule-id order.
+        assert main(["check", "--list-rules"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        ids = [row.split()[0] for row in rows]
+        assert ids == sorted(ids)
+        assert [i for i in ids if i.startswith("PX")] == [
+            f"PX{n:03d}" for n in range(1, 9)
+        ]
+        assert len(ids) == 10 + 8 + 10

@@ -91,12 +91,6 @@ class TestPreflightFolding:
         assert flow.parallel_map()["greedy"] == "unsafe"
         assert flow.parallel_map()["tidy"] == "row_local"
 
-    def test_certify_false_skips_parallel_certification(self):
-        flow = self.build_flow()
-        report = run_preflight(dataflow=flow, certify=False)
-        assert "PX001" not in report.rule_ids()
-        assert flow.parallel_map()["greedy"] is None
-
     def test_combined_report_is_deduped_and_stably_ordered(self):
         flow = self.build_flow()
         first = run_preflight(dataflow=flow)

@@ -1,69 +1,60 @@
-"""Expected-certification snapshot over the shipped example plans.
+"""Expected-certification snapshots over the shipped example plans.
 
-``make parallel-check`` and CI run this: every bundled plan must certify
-with exactly the committed node→level map (no UNSAFE node anywhere), and
-the certifier must be deterministic — two fresh runs over the unchanged
-tree produce byte-identical reports.  Regenerate the snapshot after a
-deliberate certification change with::
+``make analysis-check`` and CI run this and ``test_cost_snapshot.py``
+over one shared ``check`` of ``examples/``: every bundled plan must
+certify with exactly the committed node→level map (no UNSAFE node
+anywhere), and the driver must be deterministic — two fresh runs over
+the unchanged tree produce byte-identical reports.  Regenerate both
+snapshots after a deliberate certification or cost-model change with::
 
     PYTHONPATH=src python - <<'PY'
     import json
-    from repro.analysis.parallel.cli import check_paths
+    from repro.analysis.cli import check_paths
     result = check_paths(["examples"])
-    snapshot = {
-        path: {name: cert.level.value for name, cert in certs}
-        for path, certs in result.certificates
+    snapshots = {
+        "parallel": {
+            path: {n: c.level.value for n, c in report.parallel.items()}
+            for path, report in result.reports
+        },
+        "cost": {
+            path: report.cost.to_dict() for path, report in result.reports
+        },
     }
-    with open("tests/analysis/parallel_certification.json", "w") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\\n")
+    for name, snapshot in snapshots.items():
+        with open(f"tests/analysis/{name}_certification.json", "w") as fh:
+            json.dump(snapshot, fh, indent=2, sort_keys=True)
+            fh.write("\\n")
     PY
 """
 
 import json
-import os
 from pathlib import Path
 
-import pytest
+from repro.analysis.cli import _render_json
 
-from repro.analysis.parallel.cli import _render_json, check_paths
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 SNAPSHOT = Path(__file__).with_name("parallel_certification.json")
 
 
-@pytest.fixture(scope="module")
-def examples_result():
-    cwd = os.getcwd()
-    os.chdir(REPO_ROOT)
-    try:
-        yield check_paths(["examples"])
-    finally:
-        os.chdir(cwd)
-
-
 class TestExamplesCertification:
-    def test_matches_committed_snapshot(self, examples_result):
+    def test_matches_committed_snapshot(self, examples_check):
         expected = json.loads(SNAPSHOT.read_text())
         actual = {
-            path: {name: cert.level.value for name, cert in certs}
-            for path, certs in examples_result.certificates
+            path: {
+                name: certificate.level.value
+                for name, certificate in report.parallel.items()
+            }
+            for path, report in examples_check.reports
         }
         assert actual == expected
 
-    def test_no_unsafe_node_in_bundled_examples(self, examples_result):
-        assert examples_result.unsafe_nodes == ()
-        assert examples_result.ok
+    def test_no_unsafe_node_in_bundled_examples(self, examples_check):
+        assert examples_check.unsafe_nodes == ()
+        assert examples_check.ok
 
-    def test_all_five_plans_certified(self, examples_result):
-        assert examples_result.checked_plans == 5
-        assert examples_result.nodes >= 100
+    def test_all_five_plans_certified(self, examples_check):
+        assert examples_check.checked_plans == 5
+        assert examples_check.nodes >= 100
 
-    def test_reports_are_byte_identical_across_runs(self, examples_result):
-        cwd = os.getcwd()
-        os.chdir(REPO_ROOT)
-        try:
-            rerun = check_paths(["examples"])
-        finally:
-            os.chdir(cwd)
-        assert _render_json(rerun) == _render_json(examples_result)
+    def test_reports_are_byte_identical_across_runs(self, examples_check,
+                                                    examples_recheck):
+        assert _render_json(examples_recheck) == _render_json(examples_check)

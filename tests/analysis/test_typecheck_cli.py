@@ -1,88 +1,43 @@
-"""The typecheck CLI: discovery, formats, and the exit-code contract."""
+"""``python -m repro.analysis check``: structure and type findings,
+discovery, formats, and the exit-code contract."""
 
 import json
 
-import pytest
-
-from repro.analysis.typecheck.cli import check_paths, main
-from repro.errors import AnalysisError
-
-CLEAN_PLAN = """\
-from repro import DataContext, UserContext, Wrangler
-from repro.model.annotations import Dimension
-from repro.model.schema import Attribute, DataType, Schema
-from repro.sources.memory import MemorySource
-
-SCHEMA = Schema((
-    Attribute("product", DataType.STRING, required=True),
-    Attribute("price", DataType.CURRENCY),
-))
-
-
-def build_wrangler():
-    user = UserContext("u", SCHEMA, weights={Dimension.ACCURACY: 1.0})
-    wrangler = Wrangler(user, DataContext())
-    wrangler.add_source(MemorySource("shop", [
-        {"product": "anvil", "price": "$12.00"},
-        {"product": "rope", "price": "$3.50"},
-    ]))
-    return wrangler
-"""
-
-# master_key without master data: a PV007 error the gate reports.
-BROKEN_PLAN = CLEAN_PLAN.replace(
-    "Wrangler(user, DataContext())",
-    'Wrangler(user, DataContext(), master_key="catalog")',
-)
-
-
-@pytest.fixture()
-def clean_plan(tmp_path):
-    target = tmp_path / "clean_plan.py"
-    target.write_text(CLEAN_PLAN)
-    return target
-
-
-@pytest.fixture()
-def broken_plan(tmp_path):
-    target = tmp_path / "broken_plan.py"
-    target.write_text(BROKEN_PLAN)
-    return target
+from repro.analysis.cli import check_paths, main
 
 
 class TestExitCodes:
     def test_clean_plan_exits_zero(self, clean_plan, capsys):
-        assert main([str(clean_plan)]) == 0
+        assert main(["check", str(clean_plan)]) == 0
         out = capsys.readouterr().out
-        assert "clean" in out
+        assert "found 1 (0 error, 0 warning, 1 info)" in out  # CC006 only
         assert "purity:" in out  # node-coverage line
 
     def test_gate_errors_exit_one(self, broken_plan, capsys):
-        assert main([str(broken_plan)]) == 1
+        assert main(["check", str(broken_plan)]) == 1
         assert "PV007" in capsys.readouterr().out
 
     def test_unknown_path_exits_two(self, capsys):
-        assert main(["/no/such/path-at-all"]) == 2
+        assert main(["check", "/no/such/path-at-all"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_explicit_file_without_entry_exits_two(self, tmp_path, capsys):
         target = tmp_path / "not_a_plan.py"
         target.write_text("VALUE = 1\n")
-        assert main([str(target)]) == 2
+        assert main(["check", str(target)]) == 2
         assert "build_wrangler" in capsys.readouterr().err
 
     def test_unimportable_module_exits_two(self, tmp_path, capsys):
         target = tmp_path / "exploding.py"
         target.write_text("raise RuntimeError('boom')\n")
-        assert main([str(target)]) == 2
+        assert main(["check", str(target)]) == 2
         assert "boom" in capsys.readouterr().err
 
 
 class TestDiscovery:
-    def test_directory_skips_non_plan_modules(self, tmp_path, capsys):
-        (tmp_path / "clean_plan.py").write_text(CLEAN_PLAN)
-        (tmp_path / "helper.py").write_text("VALUE = 1\n")
-        assert main([str(tmp_path)]) == 0
+    def test_directory_skips_non_plan_modules(self, clean_plan, capsys):
+        (clean_plan.parent / "helper.py").write_text("VALUE = 1\n")
+        assert main(["check", str(clean_plan.parent)]) == 0
         captured = capsys.readouterr()
         assert "helper.py" in captured.err and "skipped" in captured.err
 
@@ -90,32 +45,23 @@ class TestDiscovery:
         result = check_paths([str(clean_plan)])
         assert result.checked_plans == 1
         assert result.nodes > 0
-        assert result.certified == result.nodes
-
-    def test_custom_entry_point(self, tmp_path):
-        target = tmp_path / "named.py"
-        target.write_text(CLEAN_PLAN.replace("build_wrangler", "make_it"))
-        result = check_paths([str(target)], entry="make_it")
-        assert result.checked_plans == 1
-        with pytest.raises(AnalysisError):
-            check_paths([str(target)])  # default entry absent
+        assert result.pure_nodes == result.nodes
 
 
 class TestFormats:
     def test_json_report_shape(self, broken_plan, capsys):
-        assert main([str(broken_plan), "--format", "json"]) == 1
-        out = capsys.readouterr().out
-        payload = json.loads(out.split("\npurity:")[0])
+        assert main(["check", str(broken_plan), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["errors"] >= 1
         rules = {row["rule"] for row in payload["diagnostics"]}
         assert "PV007" in rules
 
     def test_findings_reanchored_to_plan_module(self, broken_plan, capsys):
-        main([str(broken_plan)])
+        main(["check", str(broken_plan)])
         assert "broken_plan.py::" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
+        assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (f"TC{n:03d}" for n in range(1, 11)):
             assert rule_id in out

@@ -73,13 +73,12 @@ class TestRunPreflight:
         assert "TC010" in report.rule_ids()
         assert flow.purity_map()["leak"] == "impure"
 
-    def test_certify_false_skips_purity(self):
-        from repro.core.dataflow import Dataflow
-
-        flow = Dataflow()
-        flow.add("leak", lambda inputs: print(inputs))
-        report = run_preflight(dataflow=flow, certify=False)
-        assert "TC010" not in report.rule_ids()
+    def test_report_carries_the_evidence_behind_its_findings(self):
+        report = make_wrangler().preflight()
+        assert set(report.purity) == set(report.parallel)
+        assert all(verdict.is_pure for verdict in report.purity.values())
+        assert report.cost is not None
+        assert set(report.cost.estimates) == set(report.parallel)
 
 
 class TestWranglerPreflight:
