@@ -235,7 +235,7 @@ def _root_name(node: ast.AST) -> str | None:
 class ParallelAnalyser(PurityAnalyser):
     """Issue :class:`ParallelCertificate`\\ s without executing callables.
 
-    Shares the purity analyser's AST cache, source location, ``self``
+    Shares the purity analyser's AST cache, definition index, ``self``
     resolution, and unwrap machinery; adds its own certificate cache
     keyed ``(code, self type, role)``.  The ``role`` distinguishes how
     the callable will be fanned out:

@@ -140,12 +140,14 @@ def run_preflight(
     Probe artifacts come from ``source_schemas``/``mappings`` when given
     explicitly, falling back to the ``probe/``-prefixed entries of
     ``working``.  When a dataflow is supplied its nodes are purity- and
-    parallel-certified.  When both a plan and a registry are supplied,
-    the cost certifier also runs: per-node estimates are propagated
-    through the dataflow (annotating it for telemetry) and ``CC``
-    findings at warning severity or worse — an estimate over the
-    ``cost_budget`` declared via ``Wrangler.budget()`` is an error —
-    join the report.  The verdicts, certificates and cost report behind
+    parallel-certified by one shared
+    :class:`~repro.analysis.parallel.ParallelAnalyser`, so the run parses
+    and indexes each defining file once.  When both a plan and a
+    registry are supplied, the cost certifier also runs: per-node
+    estimates are propagated through the dataflow (annotating it for
+    telemetry) and ``CC`` findings at warning severity or worse — an
+    estimate over the ``cost_budget`` declared via ``Wrangler.budget()``
+    is an error — join the report.  The verdicts, certificates and cost report behind
     the findings ride along on the returned :class:`PreflightReport`.
     """
     filed_schemas, filed_mappings = probe_artifacts(working)
@@ -180,15 +182,21 @@ def run_preflight(
 
     verdicts: Mapping[str, PurityVerdict] = {}
     certificates: Mapping[str, ParallelCertificate] = {}
-    if dataflow is not None and hasattr(dataflow, "certify"):
-        verdicts = dataflow.certify()
-        findings.extend(purity_diagnostics(verdicts))
+    if dataflow is not None:
+        from repro.analysis.parallel import (
+            ParallelAnalyser,
+            parallel_diagnostics,
+        )
 
-    if dataflow is not None and hasattr(dataflow, "certify_parallel"):
-        from repro.analysis.parallel import parallel_diagnostics
-
-        certificates = dataflow.certify_parallel()
-        findings.extend(parallel_diagnostics(certificates))
+        # One analyser for both certifiers: a ParallelAnalyser is a
+        # PurityAnalyser, so each defining file is parsed and indexed once.
+        analyser = ParallelAnalyser()
+        if hasattr(dataflow, "certify"):
+            verdicts = dataflow.certify(analyser=analyser)
+            findings.extend(purity_diagnostics(verdicts))
+        if hasattr(dataflow, "certify_parallel"):
+            certificates = dataflow.certify_parallel(analyser=analyser)
+            findings.extend(parallel_diagnostics(certificates))
 
     cost_report = None
     if plan is not None and registry is not None:

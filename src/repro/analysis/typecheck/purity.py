@@ -21,7 +21,7 @@ versioned, observable, and participates in invalidation, so it is part
 of the dataflow's state, not an ambient side channel.
 
 The analyser never executes the callable.  It parses the defining source
-file (cached per path), locates the function's AST node via its code
+file (once per analyser), locates the function's AST node via its code
 object, resolves ``self`` from the closure when the body is the usual
 ``lambda inputs: self._stage(...)`` shape, and follows ``self.<method>``
 calls one hop deep.  Verdicts are conservative three-valued:
@@ -101,6 +101,10 @@ def _unknown(reason: str) -> PurityVerdict:
     return PurityVerdict("unknown", (reason,))
 
 
+#: ``(co_name, first line) -> AST nodes`` for one parsed module.
+_DefinitionIndex = dict[tuple[str, int], list[ast.AST]]
+
+
 @dataclass
 class _Scan:
     """Mutable state for one certification walk."""
@@ -112,10 +116,14 @@ class _Scan:
 class PurityAnalyser:
     """Certify callables as pure without executing them.
 
-    One analyser instance may certify many callables; parsed module ASTs
-    are cached per source path and verdicts per ``(code, self type)``
-    pair, so re-certifying the node lambdas of every wrangler in a
-    process parses each defining file once.
+    One analyser instance may certify many callables.  It parses each
+    defining file once, indexes the file's lambdas and functions by
+    ``(co_name, first line)`` in one walk, and caches verdicts per
+    ``(code, self type)`` pair.  The caches live on the instance and go
+    with it: :func:`~repro.analysis.typecheck.gate.run_preflight` makes
+    one :class:`~repro.analysis.parallel.ParallelAnalyser` per run and
+    hands it to both purity and parallel certification, so a run parses
+    and indexes each defining file once; a second run starts afresh.
     """
 
     #: How many ``self.<method>`` hops to follow from the node lambda.
@@ -123,6 +131,7 @@ class PurityAnalyser:
 
     def __init__(self) -> None:
         self._ast_cache: dict[str, ast.Module | None] = {}
+        self._index_cache: dict[str, _DefinitionIndex | None] = {}
         self._verdicts: dict[tuple[CodeType, type | None], PurityVerdict] = {}
 
     # -- entry point -----------------------------------------------------
@@ -193,25 +202,40 @@ class PurityAnalyser:
         self._ast_cache[filename] = tree
         return tree
 
+    def _module_index(self, filename: str) -> _DefinitionIndex | None:
+        """Every lambda and function of ``filename`` by the code-object
+        key it can match, built in one walk of the parsed module.
+
+        A lambda is keyed by its own line; a function by its ``def``
+        line and, when decorated, also by its first decorator's line
+        (``co_firstlineno`` is one or the other across Python versions).
+        """
+        if filename in self._index_cache:
+            return self._index_cache[filename]
+        tree = self._module_tree(filename)
+        index: _DefinitionIndex | None = None
+        if tree is not None:
+            index = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Lambda):
+                    index.setdefault(("<lambda>", node.lineno), []).append(
+                        node
+                    )
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    lines = {node.lineno}
+                    if node.decorator_list:
+                        lines.add(node.decorator_list[0].lineno)
+                    for line in lines:
+                        index.setdefault((node.name, line), []).append(node)
+        self._index_cache[filename] = index
+        return index
+
     def _locate(self, code: CodeType) -> ast.AST | None:
         """The AST node whose compilation produced ``code``, or ``None``."""
-        tree = self._module_tree(code.co_filename)
-        if tree is None:
+        index = self._module_index(code.co_filename)
+        if index is None:
             return None
-        line = code.co_firstlineno
-        matches: list[ast.AST] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Lambda):
-                if code.co_name == "<lambda>" and node.lineno == line:
-                    matches.append(node)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name != code.co_name:
-                    continue
-                first = node.lineno
-                if node.decorator_list:
-                    first = min(first, node.decorator_list[0].lineno)
-                if first == line or node.lineno == line:
-                    matches.append(node)
+        matches = index.get((code.co_name, code.co_firstlineno), ())
         if len(matches) != 1:
             return None  # ambiguous (two lambdas on one line) or missing
         return matches[0]

@@ -71,6 +71,9 @@ class Ontology:
         self._properties: dict[str, Property] = {}
         self._label_index: dict[str, str] = {}
         self._property_label_index: dict[str, str] = {}
+        #: Depth of every concept, built on first use; :meth:`add_concept`
+        #: clears it.
+        self._depth_map: dict[str, int] | None = None
 
     # -- construction --------------------------------------------------
 
@@ -86,6 +89,7 @@ class Ontology:
             raise ContextError(f"concept {name!r} already defined")
         concept = Concept(name, frozenset(synonyms), description)
         self._concepts[name] = concept
+        self._depth_map = None
         self._graph.add_node(name)
         if parent is not None:
             if parent not in self._concepts:
@@ -201,12 +205,15 @@ class Ontology:
         )
 
     def _depths(self) -> dict[str, int]:
+        if self._depth_map is not None:
+            return self._depth_map
         depths: dict[str, int] = {}
         for node in nx.topological_sort(self._graph.reverse()):
             parents = list(self._graph.successors(node))
             depths[node] = 1 + max(
                 (depths[p] for p in parents), default=0
             )
+        self._depth_map = depths
         return depths
 
     def classify_value(self, value: object) -> str | None:

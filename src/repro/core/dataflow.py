@@ -373,8 +373,11 @@ class Dataflow:
         """Certify every node's compute callable and record the verdicts.
 
         Uses the AST-based
-        :class:`~repro.analysis.typecheck.purity.PurityAnalyser` (an
-        instance may be passed in to share its caches across dataflows).
+        :class:`~repro.analysis.typecheck.purity.PurityAnalyser`; pass
+        an instance to share its parsed files and definition index (the
+        preflight gate passes one
+        :class:`~repro.analysis.parallel.ParallelAnalyser` to this and
+        :meth:`certify_parallel`, so a run parses each file once).
         Each node's ``purity`` field is set to the verdict status, so
         :attr:`strict_purity` and telemetry exports can act on it.
         Returns ``{node name: PurityVerdict}``.
@@ -400,8 +403,9 @@ class Dataflow:
         """Certify every node's fan-out safety and record the levels.
 
         The parallel twin of :meth:`certify`: uses the AST-based
-        :class:`~repro.analysis.parallel.ParallelAnalyser` (an instance
-        may be passed in to share its caches across dataflows), sets each
+        :class:`~repro.analysis.parallel.ParallelAnalyser` (pass the
+        instance :meth:`certify` used to reuse its parsed files and
+        definition index instead of building them again), sets each
         node's ``parallel`` field to the certified level, and returns
         ``{node name: ParallelCertificate}`` — the contract a
         partitioned scheduler fans out on.

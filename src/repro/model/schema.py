@@ -11,6 +11,7 @@ quality analysis) can reason over heterogeneous sources uniformly.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -84,7 +85,21 @@ _GEO_RE = re.compile(
 )
 
 
+#: A necessary condition for any :data:`_DATE_FORMATS` entry to match:
+#: every format holds ``%Y``, which ``strptime`` compiles to
+#: ``(?P<Y>\d\d\d\d)``.  ``\d`` here is the same Unicode class, so the
+#: gate rejects only strings no format could parse.
+_YEAR_RE = re.compile(r"\d\d\d\d")
+
+
+# A probe sees the same few hundred strings thousands of times, and
+# strptime's own format cache holds fewer entries than _DATE_FORMATS, so
+# each miss recompiles a regex.  The caches are bounded so a long-lived
+# process does not grow with every distinct value it has seen.
+@functools.lru_cache(maxsize=4096)
 def _parse_date(text: str) -> _dt.date | None:
+    if _YEAR_RE.search(text) is None:
+        return None
     for fmt in _DATE_FORMATS:
         try:
             return _dt.datetime.strptime(text, fmt).date()
@@ -114,7 +129,13 @@ def infer_type(value: Any) -> DataType:
         return DataType.GEO
     if not isinstance(value, str):
         return DataType.STRING
-    text = value.strip()
+    return _infer_text_type(value.strip())
+
+
+# Only the text branch is memoised: ``True == 1 == 1.0`` hash alike, so a
+# cache keyed by the raw value would hand one of them the other's type.
+@functools.lru_cache(maxsize=4096)
+def _infer_text_type(text: str) -> DataType:
     if not text:
         return DataType.STRING
     if _URL_RE.match(text):

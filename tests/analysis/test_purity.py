@@ -2,8 +2,10 @@
 
 import datetime
 import functools
+import linecache
 import time
 
+from repro.analysis.parallel import ParallelAnalyser
 from repro.analysis.typecheck.purity import (
     PurityAnalyser,
     certify_callable,
@@ -63,6 +65,41 @@ class Stage:
 
     def impure_node(self):
         return lambda inputs: self._impure_stage(inputs)
+
+
+def _identity(fn):
+    return fn
+
+
+@_identity
+def decorated_impure(inputs):
+    print(inputs)
+    return inputs
+
+
+class LeftStage:
+    def stage(self, value):
+        print(value)
+        return value
+
+
+class RightStage:
+    def stage(self, value):
+        return value
+
+
+TWIN_LAMBDAS = (lambda inputs: inputs, lambda inputs: print(inputs))
+
+
+def compiled_at(filename, source="def ghost(inputs):\n    return inputs\n"):
+    """A function whose code object claims to come from ``filename``."""
+    namespace = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["ghost"]
+
+
+def px_rules(fn):
+    return [f.rule for f in ParallelAnalyser().certify(fn).findings]
 
 
 class TestVerdicts:
@@ -127,6 +164,39 @@ class TestSelfResolution:
     def test_partial_is_unwrapped(self):
         bound = functools.partial(impure_print, "x")
         assert certify_callable(bound).status == "impure"
+
+
+class TestLocate:
+    """How a code object is matched to the AST node it came from."""
+
+    def test_two_lambdas_on_one_line_are_not_located(self):
+        for fn in TWIN_LAMBDAS:
+            verdict = certify_callable(fn)
+            assert verdict.status == "unknown"
+            assert "cannot locate" in verdict.reasons[0]
+            assert px_rules(fn) == ["PX007"]
+
+    def test_decorated_function_found_from_its_decorator_line(self):
+        code = decorated_impure.__code__
+        line = linecache.getline(code.co_filename, code.co_firstlineno)
+        assert line.startswith("@_identity")
+        assert certify_callable(decorated_impure).status == "impure"
+
+    def test_missing_source_file_is_unknown(self, tmp_path):
+        ghost = compiled_at(str(tmp_path / "missing.py"))
+        assert certify_callable(ghost).status == "unknown"
+        assert px_rules(ghost) == ["PX007"]
+
+    def test_unparsable_source_file_is_unknown(self, tmp_path):
+        broken = tmp_path / "broken.py"
+        broken.write_text("def ghost(:\n")
+        ghost = compiled_at(str(broken))
+        assert certify_callable(ghost).status == "unknown"
+        assert px_rules(ghost) == ["PX007"]
+
+    def test_same_named_methods_in_two_classes_are_each_located(self):
+        assert certify_callable(LeftStage().stage).status == "impure"
+        assert certify_callable(RightStage().stage).is_pure
 
 
 class TestAnalyserCaching:

@@ -83,6 +83,17 @@ class TestSimilarity:
         sim = products.term_similarity("price", "title")
         assert sim < 0.5
 
+    def test_depths_follow_a_concept_added_after_use(self, products):
+        before = products.term_similarity("TV", "Radio")
+        assert products._depths()["Television"] == 3
+        products.add_concept("Plasma", parent="Television", synonyms=["plasma tv"])
+        assert products._depths()["Plasma"] == 4
+        # Wu-Palmer over the lowest common ancestor, Electronics (depth 2).
+        assert products.term_similarity("plasma tv", "Radio") == pytest.approx(
+            2 * 2 / (4 + 3)
+        )
+        assert products.term_similarity("TV", "Radio") == before
+
     def test_symmetry(self, products):
         assert products.term_similarity("TV", "Radio") == pytest.approx(
             products.term_similarity("Radio", "TV")

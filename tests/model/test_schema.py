@@ -1,10 +1,15 @@
 """Tests for schemas, attributes, and type inference."""
 
 import datetime
+import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.datagen.products import generate_world
 from repro.errors import SchemaError, TypeInferenceError
+from repro.model import schema as schema_module
 from repro.model.schema import (
     Attribute,
     Coercibility,
@@ -69,6 +74,194 @@ class TestInferType:
     def test_numeric_typing(self):
         assert DataType.CURRENCY.is_numeric()
         assert not DataType.URL.is_numeric()
+
+
+# -- the reference: type inference as it was before memoisation and the
+# -- year gate, kept as the oracle the fast path must agree with.
+
+_ORACLE_DATE_FORMATS = (
+    "%Y-%m-%d",
+    "%d/%m/%Y",
+    "%m/%d/%Y",
+    "%Y/%m/%d",
+    "%d %b %Y",
+    "%d %B %Y",
+    "%b %d, %Y",
+)
+
+
+def oracle_parse_date(text):
+    for fmt in _ORACLE_DATE_FORMATS:
+        try:
+            return datetime.datetime.strptime(text, fmt).date()
+        except ValueError:
+            continue
+    return None
+
+
+def oracle_infer_type(value):
+    if isinstance(value, bool):
+        return DataType.BOOLEAN
+    if isinstance(value, int):
+        return DataType.INTEGER
+    if isinstance(value, float):
+        return DataType.FLOAT
+    if isinstance(value, (datetime.date, datetime.datetime)):
+        return DataType.DATE
+    if isinstance(value, tuple) and len(value) == 2 and all(
+        isinstance(part, (int, float)) for part in value
+    ):
+        return DataType.GEO
+    if not isinstance(value, str):
+        return DataType.STRING
+    text = value.strip()
+    if not text:
+        return DataType.STRING
+    if schema_module._URL_RE.match(text):
+        return DataType.URL
+    if schema_module._GEO_RE.match(text):
+        return DataType.GEO
+    if oracle_parse_date(text) is not None:
+        return DataType.DATE
+    if text.lower() in schema_module._BOOL_LITERALS:
+        return DataType.BOOLEAN
+    if schema_module._INT_RE.match(text):
+        return DataType.INTEGER
+    if schema_module._FLOAT_RE.match(text):
+        return DataType.FLOAT
+    match = schema_module._CURRENCY_RE.match(text)
+    if match and (match.group("sym") or match.group("sym2")):
+        return DataType.CURRENCY
+    return DataType.STRING
+
+
+def assert_agrees_with_oracle(value):
+    assert infer_type(value) is oracle_infer_type(value), value
+    if isinstance(value, str):
+        text = value.strip()
+        assert schema_module._parse_date(text) == oracle_parse_date(text), text
+
+
+_MONTHS = (
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct",
+    "Nov", "Dec", "January", "February", "March", "September", "December",
+)
+
+#: Digit scripts that ``\d`` (and so strptime's ``%Y``) accepts, ASCII first.
+_DIGIT_SCRIPTS = ("0123456789", "٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९", "０１２３４５６７８９")
+
+
+def _mixed_case(word, flips):
+    return "".join(
+        ch.upper() if flip else ch.lower() for ch, flip in zip(word, flips)
+    )
+
+
+@st.composite
+def date_shaped_text(draw):
+    """Strings shaped like every date format, valid or not."""
+    year = draw(st.integers(0, 12000))
+    month = draw(st.integers(0, 13))
+    day = draw(st.integers(0, 32))
+    flips = draw(st.lists(st.booleans(), min_size=9, max_size=9))
+    name = _mixed_case(draw(st.sampled_from(_MONTHS)), flips)
+    y = draw(st.sampled_from((f"{year:04d}", str(year), f"{year % 100:02d}")))
+    m = draw(st.sampled_from((f"{month:02d}", str(month))))
+    d = draw(st.sampled_from((f"{day:02d}", str(day))))
+    shape = draw(st.sampled_from((
+        f"{y}-{m}-{d}", f"{d}/{m}/{y}", f"{m}/{d}/{y}", f"{y}/{m}/{d}",
+        f"{d} {name} {y}", f"{name} {d}, {y}", f"{name} {d} {y}",
+        f"{d}  {name}  {y}", f"{y}{m}{d}",
+    )))
+    script = draw(st.sampled_from(_DIGIT_SCRIPTS))
+    to_script = str.maketrans("0123456789", script)
+    if draw(st.booleans()):
+        # Only the year may leave ASCII and still parse: strptime spells
+        # %m and %d with literal ASCII digit classes.
+        shape = shape.replace(y, y.translate(to_script), 1)
+    else:
+        shape = shape.translate(to_script)
+    pad = draw(st.sampled_from(("", " ", "\t", " \n")))
+    return pad + shape + pad
+
+
+@st.composite
+def text_with_digit_runs(draw):
+    """Product-like text carrying runs of digits, e.g. a model number."""
+    words = draw(st.lists(
+        st.sampled_from(("Acme", "Camera", "Neo", "Pro", "USD", "$", "k", "-")),
+        max_size=4,
+    ))
+    digits = draw(st.text(alphabet="0123456789٢٠١٦", min_size=1, max_size=8))
+    words.insert(draw(st.integers(0, len(words))), digits)
+    return " ".join(words)
+
+
+class TestInferTypeAgainstOracle:
+    """The memoised, year-gated inference returns what the plain
+    seven-format strptime loop returned, cell for cell."""
+
+    def test_every_cell_of_the_e6_world(self):
+        world = generate_world(50, 6, seed=606)
+        cells = [
+            value
+            for rows in world.source_rows.values()
+            for row in rows
+            for value in row.values()
+        ]
+        cells += [
+            value
+            for record in world.ground_truth
+            for value in record.to_dict().values()
+        ]
+        assert any(oracle_infer_type(c) is DataType.DATE for c in cells)
+        for value in cells:
+            assert_agrees_with_oracle(value)
+
+    @given(date_shaped_text())
+    def test_date_shaped_text(self, text):
+        assert_agrees_with_oracle(text)
+
+    @given(text_with_digit_runs())
+    def test_text_with_digit_runs(self, text):
+        assert_agrees_with_oracle(text)
+
+    @given(st.text(max_size=24))
+    def test_arbitrary_text(self, text):
+        assert_agrees_with_oracle(text)
+
+    def test_named_cases(self):
+        for text in (
+            "٢٠١٦-٠٣-١٥",
+            "٢٠١٦-03-15",
+            "15 Mar ２０１６",
+            "Acme Camera Neo 2862",
+            "mArCh 15, 2016",
+            "15 SEPTEMBER 2016",
+            "2016",
+            "16-03-15",
+        ):
+            assert_agrees_with_oracle(text)
+
+    def test_native_types_survive_any_call_order(self):
+        # Pairs, not a dict: True, 1 and 1.0 are one dict key.
+        natives = [(True, DataType.BOOLEAN), (1, DataType.INTEGER),
+                   (1.0, DataType.FLOAT)]
+        probes = [True, 1, 1.0, "True", "1", "1.0", " 1 "]
+        for order in itertools.permutations(probes):
+            for value in order:
+                assert_agrees_with_oracle(value)
+            for value, dtype in natives:
+                assert infer_type(value) is dtype
+
+    def test_every_date_format_carries_a_four_digit_year(self):
+        # The year gate's premise: strptime compiles %Y to \d\d\d\d, so a
+        # string without four digits in a row cannot match any format.
+        # The oracle loops over the same formats, or it proves nothing.
+        assert schema_module._DATE_FORMATS == _ORACLE_DATE_FORMATS
+        for fmt in schema_module._DATE_FORMATS:
+            assert "%Y" in fmt
+            assert "%y" not in fmt
 
 
 class TestInferColumnType:
