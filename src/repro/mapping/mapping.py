@@ -10,8 +10,8 @@ an uncertain artifact with a confidence, not a trusted program.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import MappingError, TypeInferenceError
@@ -22,9 +22,6 @@ from repro.model.schema import Schema, coerce
 from repro.model.values import MISSING, Value
 
 __all__ = ["AttributeMap", "Mapping"]
-
-_mapping_counter = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class AttributeMap:
@@ -44,9 +41,33 @@ class Mapping:
     target_schema: Schema
     attribute_maps: tuple[AttributeMap, ...]
     confidence: float = 1.0
-    mapping_id: str = field(
-        default_factory=lambda: f"mapping-{next(_mapping_counter)}"
-    )
+    mapping_id: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.mapping_id:
+            object.__setattr__(self, "mapping_id", self._content_id())
+
+    def _content_id(self) -> str:
+        """A content-derived id, stable across runs and processes.
+
+        Provenance cites mappings by id, so an id drawn from a
+        process-global counter made two identical runs disagree on it.
+        Hashing what the mapping does — its source, the target schema and
+        every attribute map — gives the same mapping the same id.
+        """
+        digest = hashlib.sha1()
+        digest.update(self.source_name.encode("utf-8"))
+        for name in self.target_schema.names:
+            digest.update(f";{name}".encode("utf-8"))
+        for m in self.attribute_maps:
+            # A registered Transform by its name, a bare callable by its
+            # qualified name.
+            transform = getattr(m.transform, "name", None) or getattr(
+                m.transform, "__qualname__", ""
+            )
+            line = f"|{m.target}<-{m.source}:{m.confidence!r}:{transform}"
+            digest.update(line.encode("utf-8"))
+        return f"mapping-{digest.hexdigest()[:10]}"
 
     @classmethod
     def from_correspondences(

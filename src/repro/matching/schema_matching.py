@@ -19,8 +19,7 @@ and a one-to-one assignment is chosen greedily.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.context.data_context import DataContext
@@ -32,9 +31,6 @@ from repro.matching.similarity import name_similarity, token_set, jaccard
 
 __all__ = ["Correspondence", "SchemaMatcher"]
 
-_match_counter = itertools.count(1)
-
-
 @dataclass(frozen=True)
 class Correspondence:
     """A scored candidate attribute correspondence."""
@@ -43,9 +39,6 @@ class Correspondence:
     target_attribute: str
     confidence: float
     evidence: tuple[Evidence, ...] = ()
-    match_id: str = field(
-        default_factory=lambda: f"match-{next(_match_counter)}"
-    )
 
     def evidence_kinds(self) -> frozenset[str]:
         """The evidence channels that contributed."""

@@ -3,10 +3,24 @@
 All measures return scores in ``[0, 1]``, are symmetric, and score 1.0 on
 identical non-empty inputs — properties the test suite enforces — so they
 can be pooled as evidence (Section 2.3) without per-measure calibration.
+
+Entity resolution and schema matching score the same inputs over and
+over, so the module memoises the pure steps, each cache bounded so a
+long-running process stays flat:
+
+* ``_token_set_cache`` — :func:`token_set` per raw string, at most
+  ``_CACHE_LIMIT`` (4096) entries, FIFO eviction;
+* ``_name_token_cache`` — Monge–Elkan's ordered name tokens per raw
+  string, same bound and eviction;
+* ``_token_similarity`` — Monge–Elkan's score per ordered token pair, an
+  ``lru_cache`` of ``_CACHE_LIMIT`` entries;
+* ``_idf_cache`` — :func:`tfidf_cosine`'s document frequencies per corpus
+  identity, at most ``_IDF_CACHE_LIMIT`` (8) corpora.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
@@ -239,6 +253,26 @@ def tfidf_cosine(
     return max(0.0, min(1.0, dot / (norm_a * norm_b)))
 
 
+@functools.lru_cache(maxsize=_CACHE_LIMIT)
+def _token_similarity(left: str, right: str) -> float:
+    """Monge–Elkan's score for one token pair (memoised).
+
+    Entity names share a small vocabulary, so a resolver pass meets the
+    same token pairs over and over: the cache makes each distinct ordered
+    pair cost one :func:`jaro_winkler` call.
+    """
+    # Tokens carrying digits are codes (model numbers, house numbers,
+    # postcode fragments): two different codes are different things,
+    # however many characters they share.
+    if any(c.isdigit() for c in left) or any(c.isdigit() for c in right):
+        return 1.0 if left == right else 0.0
+    score = jaro_winkler(left, right)
+    # A word either IS the other word (with typos — scores near 1) or
+    # it is a different word; mid-range Jaro between distinct words
+    # ("engineer"/"scientist" ≈ 0.55) is noise, not half a match.
+    return score if score >= 0.85 else 0.3 * score
+
+
 def monge_elkan(a: str, b: str, combine: str = "mean") -> float:
     """Symmetric Monge–Elkan similarity: tokens aligned by best Jaro–Winkler.
 
@@ -261,25 +295,14 @@ def monge_elkan(a: str, b: str, combine: str = "mean") -> float:
     if not tokens_a or not tokens_b:
         return 0.0
 
-    def token_sim(left: str, right: str) -> float:
-        # Tokens carrying digits are codes (model numbers, house numbers,
-        # postcode fragments): two different codes are different things,
-        # however many characters they share.
-        if any(c.isdigit() for c in left) or any(c.isdigit() for c in right):
-            return 1.0 if left == right else 0.0
-        score = jaro_winkler(left, right)
-        # A word either IS the other word (with typos — scores near 1) or
-        # it is a different word; mid-range Jaro between distinct words
-        # ("engineer"/"scientist" ≈ 0.55) is noise, not half a match.
-        return score if score >= 0.85 else 0.3 * score
-
-    def directed(src: Sequence[str], dst: Sequence[str]) -> float:
-        return sum(
-            max(token_sim(token, other) for other in dst) for token in src
-        ) / len(src)
-
-    forward = directed(tokens_a, tokens_b)
-    backward = directed(tokens_b, tokens_a)
+    # One |a|x|b| matrix serves both directions: jaro_winkler is exactly
+    # symmetric, so the column maxima are the b->a best alignments.
+    rows = [
+        [_token_similarity(left, right) for right in tokens_b]
+        for left in tokens_a
+    ]
+    forward = sum(max(row) for row in rows) / len(tokens_a)
+    backward = sum(max(column) for column in zip(*rows)) / len(tokens_b)
     if combine == "min":
         return min(forward, backward)
     return (forward + backward) / 2.0

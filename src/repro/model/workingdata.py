@@ -336,10 +336,12 @@ def decode_table(payload: Mapping[str, Any]) -> Table:
 def _normalised(payload: Any, aliases: dict[str, str]) -> Any:
     """Rewrite process-local ids in an encoded table to stable ordinals.
 
-    Record ids come from a process-global counter and mapping/wrapper ids
-    from per-class counters, so two runs of identical logical content
-    disagree on them; first-occurrence aliases (``#0``, ``#1``, ...) make
-    the encoding order-stable instead.
+    Record ids come from a process-global counter and wrapper ids from a
+    per-class counter, so two runs of identical logical content disagree
+    on them; first-occurrence aliases (``#0``, ``#1``, ...) make the
+    encoding order-stable instead.  Mapping ids are content-derived, but
+    they are aliased the same way, so a fingerprint does not depend on
+    how a mapping id is minted.
     """
 
     def alias(kind: str, token: str) -> str:
@@ -368,8 +370,8 @@ def _normalised(payload: Any, aliases: dict[str, str]) -> Any:
 def table_fingerprint(table: Table) -> str:
     """Cross-run content identity of a table.
 
-    The digest of the encoded table with counter-minted ids (record ids,
-    ``mapping-N``/``wrapper-N`` provenance refs) replaced by
+    The digest of the encoded table with run-local ids (record ids,
+    ``mapping-``/``wrapper-`` provenance refs) replaced by
     first-occurrence ordinals: equal fingerprints mean logically
     identical tables, whatever process minted them.
     """

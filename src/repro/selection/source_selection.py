@@ -113,19 +113,21 @@ class SourceSelector:
         if not profiles:
             return 0.0
         rng = random.Random(self.seed)
+        draw, pick = rng.random, rng.randint
+        terms = [
+            (profile.coverage, profile.accuracy, max(profile.accuracy, 0.05))
+            for profile in profiles
+        ]
         correct = 0
         for __ in range(self.n_samples):
-            votes: dict[object, float] = {}
-            for profile in profiles:
-                if rng.random() >= profile.coverage:
+            # Claim 0 is the truth, 1-3 the wrong values.
+            votes: dict[int, float] = {}
+            for coverage, accuracy, weight in terms:
+                if draw() >= coverage:
                     continue
-                weight = max(profile.accuracy, 0.05)
-                if rng.random() < profile.accuracy:
-                    claim: object = "truth"
-                else:
-                    claim = f"wrong-{rng.randint(1, 3)}"
+                claim = 0 if draw() < accuracy else pick(1, 3)
                 votes[claim] = votes.get(claim, 0.0) + weight
-            if votes and max(votes, key=lambda v: votes[v]) == "truth":
+            if votes and max(votes, key=votes.__getitem__) == 0:
                 correct += 1
         expected_fraction = correct / self.n_samples
         return expected_fraction * self.n_items * self.gain_per_item

@@ -11,35 +11,8 @@ bound is exact: a per-code-object re-walk of the module breaks it.
 import ast
 from collections import Counter
 
-import pytest
-
 from repro.analysis.parallel import ParallelAnalyser
 from repro.analysis.typecheck.purity import PurityAnalyser
-from repro.context.data_context import DataContext
-from repro.context.user_context import UserContext
-from repro.core.wrangler import Wrangler
-from repro.datagen.ontologies import product_ontology
-from repro.datagen.products import TARGET_SCHEMA, generate_world
-from repro.sources.memory import MemorySource
-
-
-@pytest.fixture(scope="module")
-def world():
-    return generate_world(50, 6, seed=606)
-
-
-def cold_wrangler(world):
-    user = UserContext.precision_first("bench", TARGET_SCHEMA, budget=60.0)
-    data = DataContext("products").with_ontology(product_ontology())
-    data.add_master("catalog", world.ground_truth)
-    wrangler = Wrangler(user, data, master_key="catalog",
-                        join_attribute="product", today=world.today)
-    for name in world.source_names:
-        wrangler.add_source(MemorySource(
-            name, world.source_rows[name],
-            cost_per_access=world.specs[name].cost,
-        ))
-    return wrangler
 
 
 class WorkCounter:
@@ -94,8 +67,8 @@ class WorkCounter:
         return sum(len(list(ast.walk(tree))) for tree in self.trees)
 
 
-def count_preflight(world, monkeypatch):
-    wrangler = cold_wrangler(world)
+def count_preflight(cold_e6_wrangler, monkeypatch):
+    wrangler = cold_e6_wrangler()
     counter = WorkCounter(monkeypatch)
     report = wrangler.preflight()
     monkeypatch.undo()
@@ -104,15 +77,17 @@ def count_preflight(world, monkeypatch):
 
 
 class TestPreflightWork:
-    def test_each_defining_file_is_parsed_once(self, world, monkeypatch):
-        counter = count_preflight(world, monkeypatch)
+    def test_each_defining_file_is_parsed_once(
+        self, cold_e6_wrangler, monkeypatch
+    ):
+        counter = count_preflight(cold_e6_wrangler, monkeypatch)
         assert counter.parses
         assert max(counter.parses.values()) == 1
 
     def test_visits_are_one_walk_per_module_plus_the_scans(
-        self, world, monkeypatch
+        self, cold_e6_wrangler, monkeypatch
     ):
-        counter = count_preflight(world, monkeypatch)
+        counter = count_preflight(cold_e6_wrangler, monkeypatch)
         assert counter.visits["scan"] > 0
         assert (
             counter.visits["locate"] + counter.visits["other"]
@@ -120,7 +95,7 @@ class TestPreflightWork:
         )
 
     def test_a_per_code_object_rewalk_breaks_the_bound(
-        self, world, monkeypatch
+        self, cold_e6_wrangler, monkeypatch
     ):
         locate = PurityAnalyser._locate
 
@@ -132,7 +107,7 @@ class TestPreflightWork:
             return locate(analyser, code)
 
         monkeypatch.setattr(PurityAnalyser, "_locate", rewalking_locate)
-        counter = count_preflight(world, monkeypatch)
+        counter = count_preflight(cold_e6_wrangler, monkeypatch)
         assert (
             counter.visits["locate"] + counter.visits["other"]
             > counter.module_nodes()

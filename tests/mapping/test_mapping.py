@@ -9,11 +9,13 @@ from repro.datagen.products import TARGET_SCHEMA, SourceSpec, generate_world
 from repro.errors import MappingError
 from repro.mapping.mapping import AttributeMap, Mapping
 from repro.mapping.selection import MappingSelector
-from repro.matching.schema_matching import SchemaMatcher
+from repro.mapping.transforms import get_transform
+from repro.matching.schema_matching import Correspondence, SchemaMatcher
 from repro.model.annotations import AnnotationStore, Dimension, QualityAnnotation
 from repro.model.provenance import Step
 from repro.model.records import Table
 from repro.model.schema import DataType, Schema
+from repro.model.workingdata import table_fingerprint
 from repro.sources.memory import MemorySource
 from repro.sources.registry import SourceRegistry
 
@@ -186,3 +188,77 @@ class TestMappingSelection:
         selector = MappingSelector(registry, annotations)
         ctx = UserContext("u", TARGET_SCHEMA)
         assert selector.select([partial], ctx) == []
+
+
+class TestContentDerivedIds:
+    """Mapping ids are minted from what a mapping does, so provenance
+    cites the same mapping by the same id in every run."""
+
+    def test_identical_mappings_share_an_id(self, clean_mapping):
+        twin = Mapping(
+            clean_mapping.source_name,
+            clean_mapping.target_schema,
+            clean_mapping.attribute_maps,
+        )
+        assert twin.mapping_id == clean_mapping.mapping_id
+        assert twin.mapping_id.startswith("mapping-")
+
+    def test_every_part_of_the_content_moves_the_id(self):
+        price = ("price", DataType.FLOAT)
+        schema = Schema.of(price, ("brand", DataType.STRING))
+
+        def mapping_id(source, schema, target, attribute, confidence):
+            maps = (AttributeMap(target, attribute, confidence),)
+            return Mapping(source, schema, maps).mapping_id
+
+        ids = {
+            mapping_id("s", schema, "price", "cost", 0.9),
+            mapping_id("t", schema, "price", "cost", 0.9),
+            mapping_id("s", Schema.of(price), "price", "cost", 0.9),
+            mapping_id("s", schema, "brand", "cost", 0.9),
+            mapping_id("s", schema, "price", "p", 0.9),
+            mapping_id("s", schema, "price", "cost", 0.8),
+        }
+        for transform in (
+            get_transform("extract_price"),
+            get_transform("thousands"),
+            str.strip,
+        ):
+            ids.add(Mapping("s", schema, (
+                AttributeMap("price", "cost", 0.9, transform),
+            )).mapping_id)
+        assert len(ids) == 9
+
+    def test_explicit_id_is_kept(self):
+        schema = Schema.of(("price", DataType.FLOAT))
+        mapping = Mapping("s", schema, (), mapping_id="mapping-custom")
+        assert mapping.mapping_id == "mapping-custom"
+
+    def test_identical_correspondences_compare_equal(self):
+        assert Correspondence("p", "price", 0.9) == Correspondence(
+            "p", "price", 0.9
+        )
+
+    def test_two_cold_wrangles_select_the_same_mapping_ids(
+        self, cold_e6_wrangler
+    ):
+        runs = []
+        for _ in range(2):
+            wrangler = cold_e6_wrangler()
+            result = wrangler.run()
+            runs.append((
+                wrangler.working.get("mapping", "selected"),
+                table_fingerprint(result.table),
+                table_fingerprint(wrangler.working.get("table", "translated")),
+            ))
+        assert runs[0] == runs[1]
+        selected, final, translated = runs[0]
+        assert len(selected) == len(set(selected)) > 1
+        # The fingerprints of counter-minted ids: content ids alias to
+        # the same first-occurrence ordinals, so the tables are unchanged.
+        assert final == (
+            "1e5779ca132d2a0122a5c6411ce24d10a9af4b44c7abb895b402ba377d73cbba"
+        )
+        assert translated == (
+            "b0920bf0b28848aba944a29b66932a3054f85840fd03912c1a156bbd5b798d2e"
+        )

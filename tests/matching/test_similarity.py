@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.datagen.products import generate_world
+from repro.matching import similarity
 from repro.matching.similarity import (
     dice,
     jaccard,
@@ -11,6 +13,7 @@ from repro.matching.similarity import (
     jaro_winkler,
     levenshtein,
     levenshtein_similarity,
+    monge_elkan,
     name_similarity,
     numeric_similarity,
     tfidf_cosine,
@@ -149,3 +152,92 @@ class TestNameSimilarity:
     @given(words, words)
     def test_property_bounds(self, a, b):
         assert 0.0 <= name_similarity(a, b) <= 1.0
+
+
+def oracle_monge_elkan_directions(a, b):
+    """The two directed Monge–Elkan scores, each token pair scored per
+    direction with an uncached Jaro–Winkler (the pre-matrix measure)."""
+    tokens_a = similarity._name_tokens(a)
+    tokens_b = similarity._name_tokens(b)
+
+    def token_sim(left, right):
+        if any(c.isdigit() for c in left) or any(c.isdigit() for c in right):
+            return 1.0 if left == right else 0.0
+        score = jaro_winkler(left, right)
+        return score if score >= 0.85 else 0.3 * score
+
+    def directed(src, dst):
+        return sum(
+            max(token_sim(token, other) for other in dst) for token in src
+        ) / len(src)
+
+    return directed(tokens_a, tokens_b), directed(tokens_b, tokens_a)
+
+
+def assert_monge_elkan_agrees_with_oracle(a, b):
+    tokens_a = similarity._name_tokens(a)
+    tokens_b = similarity._name_tokens(b)
+    if not tokens_a or not tokens_b:
+        expected = {"mean": float(tokens_a == tokens_b)}
+        expected["min"] = expected["mean"]
+    else:
+        forward, backward = oracle_monge_elkan_directions(a, b)
+        expected = {
+            "mean": (forward + backward) / 2.0,
+            "min": min(forward, backward),
+        }
+    for combine, score in expected.items():
+        assert monge_elkan(a, b, combine=combine) == score, (a, b, combine)
+
+
+name_words = st.sampled_from(
+    ["acme", "acm", "globex", "the", "of", "pro", "max", "mini", "camera",
+     "camrea", "tv", "123", "x1", "99", "inc"]
+) | st.text(alphabet="abcdeimnorst019", min_size=1, max_size=9)
+names = st.lists(name_words, max_size=6).map(" ".join)
+
+
+class TestMongeElkanAgainstOracle:
+    """The memoised one-matrix Monge–Elkan returns exactly what scoring
+    every token pair in both directions returned, in both modes."""
+
+    @given(names, names)
+    def test_generated_names(self, a, b):
+        assert_monge_elkan_agrees_with_oracle(a, b)
+
+    @given(st.text(max_size=20), st.text(max_size=20))
+    def test_arbitrary_text(self, a, b):
+        assert_monge_elkan_agrees_with_oracle(a, b)
+
+    def test_every_name_pair_of_the_e6_world(self):
+        # The identity attributes ER compares: product, brand, category.
+        world = generate_world(50, 6, seed=606)
+        attributes = ("product", "brand", "category")
+        values = {
+            str(row[world.renames[source][attribute]])
+            for source in world.source_names
+            for row in world.source_rows[source]
+            for attribute in attributes
+        }
+        values |= {
+            record.raw(attribute)
+            for record in world.ground_truth
+            for attribute in attributes
+        }
+        assert len(values) > 80
+        ordered = sorted(values)
+        for a in ordered:
+            for b in ordered:
+                assert_monge_elkan_agrees_with_oracle(a, b)
+
+    def test_named_cases(self):
+        for a, b in (
+            ("Acme Laptop Pro 15", "Acme Lptop Pro 15"),
+            ("QA Analyst", "Junior QA Analyst"),
+            ("The Acme Co", "Acme"),
+            ("the of", "of the"),
+            ("", "Globex Camera Z"),
+            ("", ""),
+        ):
+            assert_monge_elkan_agrees_with_oracle(a, b)
+            assert_monge_elkan_agrees_with_oracle(b, a)

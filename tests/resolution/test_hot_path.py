@@ -4,16 +4,26 @@ The resolver used to compute every per-field comparison twice per
 candidate pair — once for the similarity, once for the rule's vector.
 These tests pin the fix: ``field.compare`` runs exactly once per
 (pair, field), decisions are unchanged, and the vector route is
-bit-identical to the direct similarity.
+bit-identical to the direct similarity.  Below that, Monge–Elkan scores
+each distinct ordered token pair once per resolver pass.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ResolutionError
 from repro.model.records import Table
 from repro.resolution.blocking import full_pairs, sorted_neighbourhood
-from repro.resolution.comparison import FieldComparator, RecordComparator
+from repro.matching import similarity
+from repro.resolution.comparison import (
+    FieldComparator,
+    RecordComparator,
+    profiled_comparator,
+)
 from repro.resolution.er import EntityResolver, stable_cluster_id
 from repro.resolution.rules import ThresholdRule
 
@@ -241,3 +251,50 @@ class TestTokenisationMemoised:
         for i in range(similarity._CACHE_LIMIT + 100):
             similarity.token_set(f"value {i}")
         assert len(similarity._token_set_cache) <= similarity._CACHE_LIMIT
+
+
+class TestTokenPairsScoredOnce:
+    """A resolver pass meets the same name tokens in thousands of
+    candidate pairs.  Monge–Elkan's memoised token similarity calls
+    Jaro–Winkler once per distinct ordered token pair, and its one
+    token matrix per name pair serves both directions — which is exact
+    only because Jaro–Winkler is exactly symmetric."""
+
+    def test_e6_resolve_scores_each_token_pair_once(
+        self, cold_e6_wrangler, monkeypatch
+    ):
+        wrangler = cold_e6_wrangler()
+        plan = wrangler.run().plan
+        translated = wrangler.working.get("table", "translated")
+        comparator = profiled_comparator(
+            wrangler.user.target_schema,
+            translated,
+            attributes=list(plan.er_attributes) or None,
+        )
+        assert any(f.measure.startswith("tokens") for f in comparator.fields)
+
+        calls = []
+        jaro_winkler = similarity.jaro_winkler
+
+        def counting(left, right, *args):
+            calls.append((left, right))
+            return jaro_winkler(left, right, *args)
+
+        monkeypatch.setattr(similarity, "jaro_winkler", counting)
+        similarity._token_similarity.cache_clear()
+        result = EntityResolver(
+            comparator=comparator, rule=ThresholdRule(plan.er_threshold)
+        ).resolve(translated)
+        assert result.compared > len(translated)
+        assert calls
+        # Scoring every token pair of every compared name pair in both
+        # directions made 3,498 calls for 335 distinct pairs here.
+        pair, most = Counter(calls).most_common(1)[0]
+        assert most == 1, f"{pair} scored {most} times"
+
+    @given(
+        st.text(alphabet="abcde", max_size=10) | st.text(max_size=10),
+        st.text(alphabet="abcde", max_size=10) | st.text(max_size=10),
+    )
+    def test_jaro_winkler_is_exactly_symmetric(self, a, b):
+        assert similarity.jaro_winkler(a, b) == similarity.jaro_winkler(b, a)

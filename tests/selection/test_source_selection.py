@@ -1,8 +1,11 @@
 """Tests for marginal-gain source selection."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import SourceError
 from repro.model.annotations import AnnotationStore, Dimension, QualityAnnotation
@@ -126,3 +129,67 @@ class TestProfilesFromRegistry:
         assert profiles["a"].accuracy > profiles["b"].accuracy
         assert profiles["a"].coverage == pytest.approx(0.9, abs=0.05)
         assert profiles["a"].cost == 2.0
+
+
+def oracle_gain(selector, profiles):
+    """The Monte-Carlo gain as first written: attribute lookups per draw
+    and a string claim key per wrong vote."""
+    if not profiles:
+        return 0.0
+    rng = random.Random(selector.seed)
+    correct = 0
+    for __ in range(selector.n_samples):
+        votes = {}
+        for source in profiles:
+            if rng.random() >= source.coverage:
+                continue
+            weight = max(source.accuracy, 0.05)
+            if rng.random() < source.accuracy:
+                claim = "truth"
+            else:
+                claim = f"wrong-{rng.randint(1, 3)}"
+            votes[claim] = votes.get(claim, 0.0) + weight
+        if votes and max(votes, key=lambda v: votes[v]) == "truth":
+            correct += 1
+    expected_fraction = correct / selector.n_samples
+    return expected_fraction * selector.n_items * selector.gain_per_item
+
+
+rates = st.sampled_from([0.0, 1.0, 0.05]) | st.floats(0.0, 1.0)
+profile_lists = st.lists(
+    st.builds(profile, st.just("s"), rates, rates, st.just(1.0)), max_size=8
+)
+
+
+class TestGainAgainstOracle:
+    """The tightened gain loop draws the same numbers in the same order
+    and returns exactly the oracle's gain."""
+
+    @given(profile_lists, st.integers(0, 2 ** 16), st.integers(1, 200))
+    def test_generated_profiles(self, profiles, seed, n_samples):
+        selector = SourceSelector(
+            n_items=37, gain_per_item=1.5, n_samples=n_samples, seed=seed
+        )
+        assert selector.gain(profiles) == oracle_gain(selector, profiles)
+
+    def test_boundary_rates_and_seeds(self):
+        boundary = [0.0, 0.05, 1.0]
+        profiles = [
+            profile(f"s{i}", coverage, accuracy, 1.0)
+            for i, (coverage, accuracy) in enumerate(
+                (c, a) for c in boundary for a in boundary
+            )
+        ]
+        for seed in (0, 1, 17, 606):
+            selector = SourceSelector(seed=seed)
+            for end in range(len(profiles) + 1):
+                chosen = profiles[:end]
+                assert selector.gain(chosen) == oracle_gain(selector, chosen)
+
+    def test_equal_votes_tie_break_as_the_oracle(self):
+        # Two always-covering sources of equal weight that disagree tie;
+        # max keeps the claim inserted first, as the oracle's dict did.
+        profiles = [profile("a", 1.0, 0.5, 1), profile("b", 1.0, 0.5, 1)]
+        for seed in range(20):
+            selector = SourceSelector(seed=seed, n_samples=50)
+            assert selector.gain(profiles) == oracle_gain(selector, profiles)
