@@ -52,15 +52,17 @@ bench-gate:
 
 # One small benchmark end to end, then schema-check the telemetry it
 # emitted: catches drift between the benchmarks and the repro.obs schema.
-# Then a one-second perfbench run of the cold and the refresh workload,
-# failing unless its last line reports "correct": true and no failed
-# operation: every cold wrangle must reproduce the warm-up's digest and a
-# rerun with no new input must change nothing, so a memo cache that
-# served a stale result fails here.
+# Then a one-second perfbench run of each workload, failing unless its
+# last line reports "correct": true and no failed operation: every cold
+# wrangle must reproduce the warm-up's digest, every velocity tick's
+# merged view must equal its source's current rows, and a rerun with no
+# new input must change nothing, so a memo cache (type inference,
+# similarity, parsed pages, committed snapshots) that served a stale
+# result fails here.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e10_repair.py -q -p no:cacheprovider
 	$(PYTHON) -m repro.obs.report benchmarks/results/E10-repair.telemetry.json --validate-only
-	for workload in cold-e6 payg-refresh; do \
+	for workload in cold-e6 payg-refresh velocity-tick; do \
 	  $(PYTHON) perfbench/run.py --workload $$workload --seconds 1 | tail -n 1 | \
 	    $(PYTHON) -c 'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else "perfbench: %s" % r)' \
 	    || exit 1; \

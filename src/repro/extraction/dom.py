@@ -4,10 +4,25 @@ Web data extraction (Section 2.2) needs a document model: wrappers select
 repeating record nodes and field nodes inside them.  :class:`DomNode` keeps
 parents, children, tag/class signatures, and absolute paths, which is all
 the wrapper-induction algorithm requires.
+
+Induction, extraction and repair read the same few pages over and over
+(a repair pass extracts with several candidate wrappers), so the module
+does each piece of tree work once:
+
+* :func:`parse_html` is an ``lru_cache`` of ``_PARSE_CACHE_LIMIT`` (16)
+  documents keyed on the HTML string, so each distinct page is parsed
+  once while it stays among the 16 most recently parsed;
+* :meth:`DomNode.text` and :meth:`DomNode.path` are computed once per
+  node and kept on it.
+
+Parsed trees are therefore **shared and read-only**: every caller of
+:func:`parse_html` with the same HTML gets the same tree, and nothing
+outside the parser may add, remove or edit a node.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from typing import Iterator
@@ -15,6 +30,9 @@ from typing import Iterator
 from repro.errors import ExtractionError
 
 __all__ = ["DomNode", "parse_html"]
+
+#: Distinct documents whose parsed trees :func:`parse_html` keeps.
+_PARSE_CACHE_LIMIT = 16
 
 _VOID_TAGS = {
     "area", "base", "br", "col", "embed", "hr", "img", "input",
@@ -31,6 +49,12 @@ class DomNode:
     children: list["DomNode"] = field(default_factory=list)
     parent: "DomNode | None" = None
     text_content: str = ""
+    # Filled in by the first text() and path() call; kept out of
+    # equality and repr, so reading a node never changes how it compares.
+    _text: str | None = field(default=None, init=False, compare=False, repr=False)
+    _path: tuple[str, ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def is_text(self) -> bool:
@@ -50,10 +74,13 @@ class DomNode:
 
     def text(self) -> str:
         """All text beneath this node, whitespace-normalised."""
-        if self.is_text:
-            return " ".join(self.text_content.split())
-        parts = [child.text() for child in self.children]
-        return " ".join(part for part in parts if part)
+        if self._text is None:
+            if self.is_text:
+                self._text = " ".join(self.text_content.split())
+            else:
+                parts = [child.text() for child in self.children]
+                self._text = " ".join(part for part in parts if part)
+        return self._text
 
     def walk(self) -> Iterator["DomNode"]:
         """This node and all descendants, pre-order."""
@@ -103,13 +130,13 @@ class DomNode:
 
     def path(self) -> tuple[str, ...]:
         """Absolute signature path from the root to this node."""
-        steps: list[str] = []
-        node: DomNode | None = self
-        while node is not None and node.tag != "#document":
-            if not node.is_text:
-                steps.append(node.signature)
-            node = node.parent
-        return tuple(reversed(steps))
+        if self._path is None:
+            if self.tag == "#document":
+                self._path = ()
+            else:
+                above = self.parent.path() if self.parent is not None else ()
+                self._path = above if self.is_text else above + (self.signature,)
+        return self._path
 
     def ancestors(self) -> Iterator["DomNode"]:
         """All ancestors, nearest first."""
@@ -156,11 +183,13 @@ class _TreeBuilder(HTMLParser):
         self._stack[-1].children.append(node)
 
 
+@functools.lru_cache(maxsize=_PARSE_CACHE_LIMIT)
 def parse_html(html: str) -> DomNode:
     """Parse an HTML string into a :class:`DomNode` tree.
 
     Tolerant of unclosed tags (like browsers are); raises
-    :class:`ExtractionError` only for empty input.
+    :class:`ExtractionError` only for empty input.  Memoised: the same
+    HTML returns the same shared, read-only tree.
     """
     if not html or not html.strip():
         raise ExtractionError("cannot parse empty document")

@@ -11,8 +11,8 @@ working data like any other artifact.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
+import hashlib
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.extraction.dom import DomNode, parse_html
@@ -24,8 +24,6 @@ from repro.model.values import Value
 from repro.sources.base import Document
 
 __all__ = ["FieldRule", "Wrapper"]
-
-_wrapper_counter = itertools.count(1)
 
 
 def _path_ends_with(path: tuple[str, ...], suffix: tuple[str, ...]) -> bool:
@@ -106,9 +104,37 @@ class Wrapper:
     record_path: tuple[str, ...]
     rules: tuple[FieldRule, ...]
     confidence: float = 1.0
-    wrapper_id: str = field(
-        default_factory=lambda: f"wrapper-{next(_wrapper_counter)}"
-    )
+    wrapper_id: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.wrapper_id:
+            object.__setattr__(self, "wrapper_id", self._content_id())
+
+    def _content_id(self) -> str:
+        """A content-derived id, stable across runs and processes.
+
+        Extracted cells cite their wrapper by id, so an id drawn from a
+        process-global counter made two identical runs disagree on it.
+        Hashing what the wrapper does — its source, record path, every
+        rule and its confidence — gives the same wrapper the same id.
+        Copies made by :meth:`with_rule` and :meth:`with_confidence`
+        keep the id of the wrapper they were made from.
+        """
+        content = (
+            self.source,
+            self.record_path,
+            tuple(
+                (rule.attribute, rule.rel_path, rule.index,
+                 rule.recogniser_name, rule.attr_source, rule.dtype.value,
+                 rule.confidence)
+                for rule in self.rules
+            ),
+            self.confidence,
+        )
+        # The repr of strings, ints, floats and None is the same in every
+        # process, and a tuple's repr cannot run two fields together.
+        digest = hashlib.sha1(repr(content).encode("utf-8"))
+        return f"wrapper-{digest.hexdigest()[:10]}"
 
     def schema(self) -> Schema:
         """The relational schema this wrapper produces."""

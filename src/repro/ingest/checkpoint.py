@@ -240,6 +240,9 @@ class RunLog:
             entry["step"]: entry for entry in self._current["steps"]
         }
         self._restored_steps: list[str] = sorted(self._committed)
+        # Snapshot ids of the payloads this run committed, by object
+        # identity (the payload is held so its id cannot be reused).
+        self._snapshot_ids: dict[int, tuple[Any, str]] = {}
 
     @property
     def run_id(self) -> str:
@@ -297,6 +300,21 @@ class RunLog:
 
     # -- writing ----------------------------------------------------------
 
+    def _snapshot(self, payload: Any) -> str:
+        """Store ``payload`` once per run; returns its snapshot id.
+
+        The run's final output is a table a stage node already committed
+        (``node:repair`` or ``node:fuse``), so it is encoded, serialised
+        and hashed once.  A committed payload is never mutated: the
+        snapshot must keep describing the value handed on.
+        """
+        known = self._snapshot_ids.get(id(payload))
+        if known is not None:
+            return known[1]
+        snapshot_id = self._store.snapshots.put(encode_payload(payload))
+        self._snapshot_ids[id(payload)] = (payload, snapshot_id)
+        return snapshot_id
+
     def commit(
         self,
         step: str,
@@ -311,9 +329,7 @@ class RunLog:
         between the two leaves an unreferenced object, never a dangling
         reference.
         """
-        snapshot_id = None
-        if payload is not None:
-            snapshot_id = self._store.snapshots.put(encode_payload(payload))
+        snapshot_id = None if payload is None else self._snapshot(payload)
         entry = {
             "step": step,
             "snapshot": snapshot_id,
@@ -342,10 +358,11 @@ class RunLog:
         return snapshot_id
 
     def complete(self, payload: Any = None) -> str | None:
-        """Mark the run complete (one atomic write with the final step)."""
-        snapshot_id = None
-        if payload is not None:
-            snapshot_id = self._store.snapshots.put(encode_payload(payload))
+        """Mark the run complete (one atomic write with the final step).
+
+        A payload this run already committed reuses that snapshot.
+        """
+        snapshot_id = None if payload is None else self._snapshot(payload)
         entry = {"step": "complete", "snapshot": snapshot_id, "data": {}}
         if "complete" not in self._committed:
             self._current["steps"].append(entry)

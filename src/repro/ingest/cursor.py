@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.model.workingdata import content_digest, row_digest, tag_raw, untag_raw
+from repro.model.workingdata import content_digest, tag_raw, untag_raw
 
 __all__ = [
     "DELTA_COST_FLOOR",
@@ -108,16 +108,19 @@ def cursor_after(value: Any, boundary: Any) -> bool:
 def watermark_for(
     source: str,
     rows: Sequence[Mapping[str, Any]],
+    order: Sequence[str],
     cursor_attribute: str | None,
     previous: Watermark | None = None,
 ) -> Watermark:
     """The watermark a committed view of ``rows`` establishes.
 
-    The cursor never regresses: it starts from ``previous`` (if any) and
-    advances over every row's cursor value under :func:`cursor_after`
-    ordering.  The fingerprint digests the row-digest sequence in source
-    order, so it is sensitive to edits, deletions, and reordering — not
-    just appends.
+    ``order`` is the :func:`~repro.model.workingdata.row_digest` of each
+    row, in source order — the :attr:`DeltaBatch.order` the fetch
+    already computed, so no row is digested twice.  The cursor never
+    regresses: it starts from ``previous`` (if any) and advances over
+    every row's cursor value under :func:`cursor_after` ordering.  The
+    fingerprint digests the row-digest sequence, so it is sensitive to
+    edits, deletions, and reordering — not just appends.
     """
     cursor = previous.cursor if previous is not None else None
     if cursor_attribute is not None:
@@ -125,10 +128,9 @@ def watermark_for(
             candidate = row.get(cursor_attribute)
             if candidate is not None and cursor_after(candidate, cursor):
                 cursor = candidate
-    digests = [row_digest(row) for row in rows]
     return Watermark(
         source=source,
         cursor=cursor,
-        fingerprint=content_digest(digests),
+        fingerprint=content_digest(list(order)),
         rows=len(rows),
     )

@@ -123,12 +123,13 @@ def acquire_durable(
     else:
         table = source.fetch()
         rows = table.to_rows()
+        order = tuple(row_digest(row) for row in rows)
         batch = DeltaBatch(
             source=source.name,
             mode="full",
             rows=tuple(rows),
-            order=tuple(row_digest(row) for row in rows),
-            watermark=watermark_for(source.name, rows, None),
+            order=order,
+            watermark=watermark_for(source.name, rows, order, None),
             fraction=1.0,
             table=table,
         )

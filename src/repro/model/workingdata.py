@@ -336,12 +336,12 @@ def decode_table(payload: Mapping[str, Any]) -> Table:
 def _normalised(payload: Any, aliases: dict[str, str]) -> Any:
     """Rewrite process-local ids in an encoded table to stable ordinals.
 
-    Record ids come from a process-global counter and wrapper ids from a
-    per-class counter, so two runs of identical logical content disagree
-    on them; first-occurrence aliases (``#0``, ``#1``, ...) make the
-    encoding order-stable instead.  Mapping ids are content-derived, but
-    they are aliased the same way, so a fingerprint does not depend on
-    how a mapping id is minted.
+    Record ids come from a process-global counter, so two runs of
+    identical logical content disagree on them; first-occurrence aliases
+    (``#0``, ``#1``, ...) make the encoding order-stable instead.
+    Mapping and wrapper ids are content-derived, but they are aliased the
+    same way, so a fingerprint does not depend on how either id is
+    minted.
     """
 
     def alias(kind: str, token: str) -> str:

@@ -164,12 +164,15 @@ class StructuredSource(DataSource):
         if watermark is None or cursor_attribute is None:
             table = self.fetch()
             rows = table.to_rows()
+            order = tuple(row_digest(row) for row in rows)
             return DeltaBatch(
                 source=self.name,
                 mode="full",
                 rows=tuple(rows),
-                order=tuple(row_digest(row) for row in rows),
-                watermark=watermark_for(self.name, rows, cursor_attribute),
+                order=order,
+                watermark=watermark_for(
+                    self.name, rows, order, cursor_attribute
+                ),
                 fraction=1.0,
                 table=table,
             )
@@ -177,7 +180,7 @@ class StructuredSource(DataSource):
         rows = current.to_rows()
         order = tuple(row_digest(row) for row in rows)
         advanced = watermark_for(
-            self.name, rows, cursor_attribute, previous=watermark
+            self.name, rows, order, cursor_attribute, previous=watermark
         )
         if advanced.fingerprint == watermark.fingerprint:
             mode = "unchanged"

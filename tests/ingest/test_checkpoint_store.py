@@ -17,6 +17,7 @@ from repro.model.records import Table
 from repro.model.workingdata import (
     decode_table,
     encode_table,
+    row_digest,
     table_fingerprint,
 )
 from repro.sources.base import Document
@@ -142,8 +143,9 @@ class TestJournal:
         store = CheckpointStore(tmp_path)
         log = store.begin_run(self.SIGNATURE)
         table = make_table()
+        rows = table.to_rows()
         watermark = watermark_for(
-            "catalog", table.to_rows(), "updated"
+            "catalog", rows, [row_digest(row) for row in rows], "updated"
         )
         log.commit("acquire:catalog", payload=table, watermark=watermark)
         log.complete(payload=table)

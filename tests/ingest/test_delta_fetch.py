@@ -35,6 +35,10 @@ def make_source(rows=BASE_ROWS, cursor="seq", cost=1.0):
     return MemorySource("feed", rows, cost_per_access=cost, cursor=cursor)
 
 
+def digests(rows):
+    return [row_digest(row) for row in rows]
+
+
 class TestCursorPrimitives:
     def test_no_boundary_admits_everything(self):
         assert cursor_after(0, None)
@@ -46,22 +50,25 @@ class TestCursorPrimitives:
 
     def test_watermark_never_regresses(self):
         rows = [{"seq": 5}, {"seq": 3}]
-        first = watermark_for("feed", [{"seq": 9}], "seq")
-        second = watermark_for("feed", rows, "seq", previous=first)
+        first = watermark_for("feed", [{"seq": 9}], digests([{"seq": 9}]), "seq")
+        second = watermark_for(
+            "feed", rows, digests(rows), "seq", previous=first
+        )
         assert second.cursor == 9  # the old high-water mark holds
         assert second.rows == 2
 
     def test_watermark_fingerprint_tracks_content(self):
-        same = watermark_for("feed", BASE_ROWS, "seq")
-        again = watermark_for("feed", [dict(r) for r in BASE_ROWS], "seq")
-        changed = watermark_for(
-            "feed", BASE_ROWS + [{"product": "watch", "seq": 4}], "seq"
+        same = watermark_for("feed", BASE_ROWS, digests(BASE_ROWS), "seq")
+        again = watermark_for(
+            "feed", [dict(r) for r in BASE_ROWS], digests(BASE_ROWS), "seq"
         )
+        grown = BASE_ROWS + [{"product": "watch", "seq": 4}]
+        changed = watermark_for("feed", grown, digests(grown), "seq")
         assert same.fingerprint == again.fingerprint
         assert same.fingerprint != changed.fingerprint
 
     def test_watermark_dict_round_trip(self):
-        mark = watermark_for("feed", BASE_ROWS, "seq")
+        mark = watermark_for("feed", BASE_ROWS, digests(BASE_ROWS), "seq")
         from repro.ingest.cursor import Watermark
 
         assert Watermark.from_dict(mark.to_dict()) == mark
